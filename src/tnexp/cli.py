@@ -117,7 +117,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_search(args) -> int:
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     result = search.run_search(args.n, kinds=kinds, sample_perms=args.sample_perms,
-                               seed=args.seed, workers=args.workers)
+                               seed=args.seed)
     if args.csv:
         search.write_results(result, "csv", args.csv)
     if args.json:
@@ -276,8 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="write aggregate JSON here")
     p.add_argument("--sample-perms", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
-                   help="shape-pair parallelism (default: env TNEXP_WORKERS or 1)")
     add_table(p)
     p.set_defaults(func=_cmd_search)
 

@@ -4,16 +4,29 @@ For n leaves the instance space is every ordered pair of unordered
 shapes times every permutation of the second tree's leaves.  One cover
 table per shape is enough: a single instance evaluation is a handful of
 table lookups at the pulled-back node sets, so everything is vectorized
-over the permutation axis with one precomputed pullback table
-(perm, mask) -> pulled mask.
+over the permutation axis.
 
-Results are kept as one uint8 array per (shape, shape) pair in
-lexicographic permutation order, so the aggregates and serializations
-below are deterministic.  The CSV holds one row per instance (at n = 8
-that is 21.3M rows, around 2 GB -- request it deliberately); the JSON
-summary carries the shape list, per-pair aggregates, and a sha256 digest
-of the raw per-instance arrays, which pins the full result down
-byte-exactly at a few KB.
+The pair loop runs target-outer.  For each target shape T' the pulled-back
+masks of its non-root internal node sets are computed once, straight from
+the permutation array, and reused for every covering shape T.  The cover
+value of an instance is the max over those nodes of min(n_d, n_a), the
+cheaper of covering the node's descendant set or its anti set; with
+full ^ m == full - m that minimum is one lookup in the per-shape min-side
+table min(counts, counts[::-1]).  The poset kind reads the same node
+columns: poset_min4 is symmetric under S <-> S^c and at most 1 on
+singletons, so its max over every nontrivial doad set of T' equals its
+max over the non-root internal descendant sets, floored at 1.  It still
+reads the closed-form poset table, never the cover tables, so the two
+kinds stay independent derivations.  The naive kind reads the raw cover
+table at every pulled-back doad set of T'.
+
+Results are kept as one uint8 array of shape (shapes, shapes, perms) per
+kind, with permutations in lexicographic order, so the aggregates and
+serializations below are deterministic.  The CSV holds one row per
+instance (at n = 8 that is 21.3M rows, around 2 GB -- request it
+deliberately); the JSON summary carries the shape list, per-pair
+aggregates, and a sha256 digest of the raw per-instance array, which pins
+the full result down byte-exactly at a few KB.
 """
 
 from __future__ import annotations
@@ -23,8 +36,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +57,8 @@ CSV_COLUMNS = {"cover": "cover_bound", "poset": "poset_bound", "naive": "naive_m
 class SearchResult:
     """Per-instance bound values for all (shape, shape, perm) instances.
 
-    data[kind][(i, j)] is a uint8 array over the permutation axis, in
-    the lexicographic order of `perms`.
+    data[kind] is a uint8 array of shape (shapes, shapes, perms), with the
+    permutation axis in the lexicographic order of `perms`.
     """
 
     n: int
@@ -62,38 +73,51 @@ class SearchResult:
         return len(self.shapes) ** 2 * len(self.perms)
 
     def values(self, kind: str, i: int, j: int) -> np.ndarray:
-        return self.data[kind][(i, j)]
+        return self.data[kind][i, j]
 
     def aggregate(self, kind: str) -> dict:
         """Per-pair min/max/histogram over the permutation axis."""
+        arr = self.data[kind]
+        mins, maxs = arr.min(axis=2), arr.max(axis=2)
+        # counts[i, j, v] = #perms with value v, one row of pairs at a time
+        # (popcounts of the packed equality bits; temporaries stay small)
+        counts = np.zeros(mins.shape + (int(maxs.max()) + 1,), dtype=np.int64)
+        for i, block in enumerate(arr):
+            for v in range(int(mins[i].min()), int(maxs[i].max()) + 1):
+                counts[i, :, v] = np.bitwise_count(np.packbits(block == v, axis=1)).sum(axis=1)
         out = {}
-        for (i, j), arr in sorted(self.data[kind].items()):
-            counts = np.bincount(arr)
-            hist = {int(v): int(c) for v, c in enumerate(counts) if c}
-            out[(i, j)] = {"min": int(arr.min()), "max": int(arr.max()),
-                           "histogram": hist}
+        for (i, j), lo, hi, row in zip(itertools.product(range(len(mins)), repeat=2),
+                                       mins.ravel().tolist(), maxs.ravel().tolist(),
+                                       counts.reshape(-1, counts.shape[2]).tolist()):
+            out[(i, j)] = {"min": lo, "max": hi,
+                           "histogram": {v: c for v, c in enumerate(row) if c}}
         return out
 
     def digest(self, kind: str) -> str:
-        h = hashlib.sha256()
-        for key in sorted(self.data[kind]):
-            h.update(self.data[kind][key].tobytes())
-        return h.hexdigest()
+        # the C-order buffer is the per-pair arrays concatenated in (i, j) order
+        return hashlib.sha256(self.data[kind]).hexdigest()
 
 
-def _pullback_table(n: int, perms: np.ndarray) -> np.ndarray:
-    """Pulled-back mask for every (permutation, mask) pair.
+def _leaf_bits(perms: np.ndarray) -> np.ndarray:
+    """(n, P) intp table: row x holds 1 << l where perms[p, l] == x + 1.
 
-    perms has shape (P, n) with 1-based entries; output[p, m] has leaf l
-    set iff perms[p, l-1] is a leaf of m.
+    perms has shape (P, n) with 1-based entries; the pulled-back mask of a
+    mask m is the OR of the rows of its leaves.
     """
-    p_count = perms.shape[0]
-    weights = (1 << np.arange(n, dtype=np.int64))
-    shifts = (perms - 1).astype(np.int64)
-    out = np.zeros((p_count, 1 << n), dtype=np.uint16 if n > 8 else np.uint8)
-    for mask in range(1 << n):
-        bits = (mask >> shifts) & 1
-        out[:, mask] = bits @ weights
+    return np.left_shift(1, np.argsort(perms, axis=1).T.astype(np.intp))
+
+
+def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
+    """(len(masks), P) intp: pulled-back mask of each requested mask.
+
+    out[k, p] has leaf l set iff perms[p, l] is a leaf of masks[k], as in
+    Permutation.pullback; built one mask at a time from `_leaf_bits`.
+    """
+    out = np.zeros((len(masks), leaf_bits.shape[1]), dtype=np.intp)
+    for k, mask in enumerate(masks):
+        for x, bits in enumerate(leaf_bits):
+            if mask >> x & 1:
+                out[k] |= bits
     return out
 
 
@@ -120,18 +144,17 @@ def _sample_perms(n: int, count: int, seed: int) -> np.ndarray:
 def _perm_strings(perms: np.ndarray) -> tuple:
     n = perms.shape[1]
     if n <= 9:
-        return tuple("".join(str(int(x)) for x in row) for row in perms)
+        # one ASCII digit per entry: each row's bytes are its one-line string
+        digits = (perms + ord("0")).astype(np.uint8)
+        return tuple(digits.view(f"S{n}").ravel().astype(f"U{n}").tolist())
     return tuple("-".join(str(int(x)) for x in row) for row in perms)
 
 
-def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0,
-               workers=None) -> SearchResult:
+def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> SearchResult:
     """Evaluate the chosen bound kinds on every (shape, shape, perm) instance.
 
     Full permutation products are allowed for 4 <= n <= 8; beyond that a
     sampled permutation set must be requested (flagged in the result).
-    `workers` (default: env TNEXP_WORKERS or 1) parallelizes over shape
-    pairs; the output is identical regardless of worker count.
     """
     if sample_perms is None and not 4 <= n <= FULL_SEARCH_CAP:
         raise ValueError(
@@ -142,58 +165,40 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0,
     bad = [k for k in kinds if k not in KINDS]
     if bad:
         raise ValueError(f"unknown bound kinds {bad}; choose from {KINDS}")
-    if workers is None:
-        workers = int(os.environ.get("TNEXP_WORKERS", "1"))
 
     shapes = enumerate_shapes(n)
-    full = (1 << n) - 1
     if sample_perms is None:
         perms = _lex_perms(n)
         sampled = False
     else:
         perms = _sample_perms(n, int(sample_perms), seed)
         sampled = True
-    pb = _pullback_table(n, perms)
+    leaf_bits = _leaf_bits(perms)
 
     cover_tables = [build_cover_table(t).counts for t in shapes]
+    min_side = [np.minimum(c, c[::-1]) for c in cover_tables]
     poset_tables = [poset_table(t) for t in shapes] if "poset" in kinds else None
 
-    # per target shape: the node/doad masks that drive each bound kind
-    node_masks = [np.array([t.desc_masks[w] for w in t.internal if w != t.root],
-                           dtype=np.int64) for t in shapes]
-    doad_masks = [np.array(doad_family(t).masks, dtype=np.int64) for t in shapes]
-    nontrivial = [m[m != full] for m in doad_masks]
+    data = {k: np.empty((len(shapes), len(shapes), len(perms)), dtype=np.uint8)
+            for k in kinds}
+    for j, target in enumerate(shapes):
+        # n >= 4 leaves: every shape has a non-root internal vertex
+        cols = _pullback_columns(leaf_bits, [target.desc_masks[w] for w in target.internal
+                                             if w != target.root])
+        doad_cols = (_pullback_columns(leaf_bits, doad_family(target).masks)
+                     if "naive" in kinds else None)
+        for i in range(len(shapes)):
+            if "cover" in kinds:
+                out = data["cover"][i, j]
+                np.max(min_side[i][cols], axis=0, out=out)
+                np.maximum(out, 1, out=out)
+            if "poset" in kinds:
+                out = data["poset"][i, j]
+                np.max(poset_tables[i][cols], axis=0, out=out)
+                np.maximum(out, 1, out=out)
+            if "naive" in kinds:
+                np.max(cover_tables[i][doad_cols], axis=0, out=data["naive"][i, j])
 
-    def eval_pair(pair):
-        i, j = pair
-        out = {}
-        if node_masks[j].size:
-            cols = pb[:, node_masks[j]].astype(np.int64)
-            nd = cover_tables[i][cols]
-            na = cover_tables[i][cols ^ full]
-            per_node = np.minimum(nd, na)
-            out["cover"] = np.maximum(per_node.max(axis=1), 1).astype(np.uint8)
-        else:
-            out["cover"] = np.ones(len(perms), dtype=np.uint8)
-        if "poset" in kinds:
-            cols = pb[:, nontrivial[j]].astype(np.int64)
-            out["poset"] = np.maximum(poset_tables[i][cols].max(axis=1), 1).astype(np.uint8)
-        if "naive" in kinds:
-            cols = pb[:, doad_masks[j]].astype(np.int64)
-            out["naive"] = cover_tables[i][cols].max(axis=1).astype(np.uint8)
-        return out
-
-    pairs = list(itertools.product(range(len(shapes)), repeat=2))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(eval_pair, pairs))
-    else:
-        results = [eval_pair(p) for p in pairs]
-
-    data = {k: {} for k in kinds}
-    for pair, res in zip(pairs, results):
-        for k in kinds:
-            data[k][pair] = res[k]
     return SearchResult(n=n, shapes=tuple(t.text for t in shapes),
                         perms=_perm_strings(perms), sampled=sampled,
                         kinds=tuple(kinds), data=data)
@@ -221,7 +226,7 @@ def _write_csv(result: SearchResult, path) -> None:
         fh.write(",".join(cols) + "\n")
         for i, a in enumerate(result.shapes):
             for j, b in enumerate(result.shapes):
-                arrays = [result.data[k][(i, j)] for k in result.kinds]
+                arrays = [result.data[k][i, j] for k in result.kinds]
                 prefix = f"{n_str},{a},{b},"
                 fh.write("".join(
                     f"{prefix}{perm},{','.join(str(int(arr[p])) for arr in arrays)}\n"

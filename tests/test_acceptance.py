@@ -235,10 +235,10 @@ def test_c8_rank_verification():
 
 def test_c9_n8_scale_and_determinism(tmp_path):
     t0 = time.perf_counter()
-    res_a = run_search(8, workers=1)
+    res_a = run_search(8)
     path_a = tmp_path / "a.json"
     write_results(res_a, "json", path_a)
-    res_b = run_search(8, workers=1)
+    res_b = run_search(8)
     path_b = tmp_path / "b.json"
     write_results(res_b, "json", path_b)
     elapsed = time.perf_counter() - t0

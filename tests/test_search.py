@@ -8,7 +8,9 @@ import pytest
 from tnexp.covers import build_cover_table, cover_exponent
 from tnexp.bounds import poset_bound
 from tnexp.search import (
-    _pullback_table,
+    _leaf_bits,
+    _pullback_columns,
+    _sample_perms,
     run_search,
     verify_against_reference,
     write_results,
@@ -22,12 +24,13 @@ from tnexp.trees import Permutation, all_permutations, enumerate_shapes
 def test_pullback_table_matches_scalar():
     n = 5
     perms = np.array([p.perm for p in all_permutations(n)], dtype=np.int8)
-    pb = _pullback_table(n, perms)
     rng = np.random.default_rng(3)
-    for _ in range(200):
+    masks = [int(m) for m in rng.integers(1 << n, size=200)]
+    pb = _pullback_columns(_leaf_bits(perms), masks)
+    assert pb.shape == (200, len(perms))
+    for k, mask in enumerate(masks):
         pi = int(rng.integers(len(perms)))
-        mask = int(rng.integers(1 << n))
-        assert pb[pi, mask] == Permutation(perms[pi]).pullback(mask)
+        assert pb[k, pi] == Permutation(perms[pi]).pullback(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +65,50 @@ def test_search_matches_direct_evaluation():
         assert res.values("poset", i, j)[p] == poset_bound(shapes[i], shapes[j], perm).value
 
 
-def test_search_deterministic_and_worker_independent():
+def test_search_deterministic():
     a = run_search(5, kinds=("cover",))
-    b = run_search(5, kinds=("cover",), workers=4)
+    b = run_search(5, kinds=("cover",))
     assert a.digest("cover") == b.digest("cover")
     assert a.perms == b.perms
+
+
+ALL_KINDS = ("cover", "poset", "naive")
+
+
+@pytest.mark.parametrize("n, sample, seed, cover, naive", [
+    (7, None, 0,
+     "4da38153853af5f31e8b7b5c9fda0d05e065a562d98ee1fbbad8cea6fd79d3bc",
+     "84071dfc497fd5edeaf72f2dafa7a0023531b03a1b1386249f80c6b73c5ac6ef"),
+    (9, 2000, 3,
+     "60bdde596b743f31092b1f70a5876600525cf10099c0e692bf8527750c88c070",
+     "1454553ec9162fee3908bf90c30cf836d7e3b95f47e704e2ba3ac4c9002c3213"),
+])
+def test_search_digests_pinned(n, sample, seed, cover, naive):
+    res = run_search(n, kinds=ALL_KINDS, sample_perms=sample, seed=seed)
+    assert res.digest("cover") == cover
+    assert res.digest("poset") == cover
+    assert res.digest("naive") == naive
+
+
+def test_perm_strings_are_one_line():
+    res = run_search(5)
+    rows = list(itertools.permutations(range(1, 6)))
+    assert res.perms == tuple(Permutation(row).one_line() for row in rows)
+    res10 = run_search(10, sample_perms=30, seed=7)
+    rows10 = _sample_perms(10, 30, 7)
+    assert res10.perms == tuple(Permutation(row).one_line() for row in rows10)
+    assert all("-" in p for p in res10.perms)
+
+
+def test_aggregate_matches_per_pair_loop():
+    res = run_search(6, kinds=ALL_KINDS)
+    for kind in ALL_KINDS:
+        agg = res.aggregate(kind)
+        assert list(agg) == list(itertools.product(range(len(res.shapes)), repeat=2))
+        for (i, j), got in agg.items():
+            arr = res.values(kind, i, j)
+            hist = {v: int(c) for v, c in enumerate(np.bincount(arr)) if c}
+            assert got == {"min": int(arr.min()), "max": int(arr.max()), "histogram": hist}
 
 
 def test_search_self_identity_spot_check():
