@@ -31,6 +31,7 @@ from .trees import (
 )
 from .covers import (
     CoverTable,
+    CoverCounter,
     build_cover_table,
     cover_exponent,
     ExponentReport,
@@ -68,8 +69,8 @@ __all__ = [
     "heights", "Permutation", "all_permutations",
     "up_set", "down_set", "lca", "maxima_count",
     "full_mask", "mask_from_leaves", "leaves_of_mask",
-    "CoverTable", "build_cover_table", "cover_exponent", "ExponentReport",
-    "min_product_cover", "check_trivial_containment",
+    "CoverTable", "CoverCounter", "build_cover_table", "cover_exponent",
+    "ExponentReport", "min_product_cover", "check_trivial_containment",
     "BoundValue", "trivial_bound", "poset_bound", "poset_min4", "poset_table",
     "height_bound_tt", "plane_general_bound", "compose_exponents",
     "IpModel", "build_ip", "solve_ip", "export_lp",

@@ -1,6 +1,7 @@
 """Closed-form and structural containment-exponent bounds.
 
-Four certificate families, all upper bounds for the exact cover number:
+Four certificate families; the poset count is exact, the other three
+are upper bounds for the exact cover number:
 
 * trivial: floor(n/2), from covering the smaller side of every split by
   singletons;
@@ -8,7 +9,9 @@ Four certificate families, all upper bounds for the exact cover number:
   read off the ancestor/descendant poset of the covering tree -- the
   maximal vertices whose descendant sets fit inside S (or its
   complement), optionally after splitting off one anti-descendant set at
-  the lowest common ancestor of the other side;
+  the lowest common ancestor of the other side.  By the structure of
+  minimal covers (covers module docstring) this minimum equals
+  min(n_S, n_{S^c}), so the poset bound equals the cover bound;
 * heights: a plane tree embeds into the same-width comb tree with
   exponent 1 + max_l min(h_l, h*_{l+1}), where h counts the 1s before
   the final 0 of a leaf's path label and h* dually;
@@ -36,7 +39,10 @@ from .trees import (
     build_tt,
     doad_family,
     heights,
+    instance_perm,
     leaves_of_mask,
+    mask_lca,
+    maximal_desc_count,
 )
 
 __all__ = [
@@ -82,43 +88,24 @@ def trivial_bound(n: int) -> BoundValue:
 # ---------------------------------------------------------------------------
 # poset bound
 
-def _maxima_labels(t: Tree, vids) -> int:
-    labset = {t.labels[v] for v in vids}
-    return sum(1 for lab in labset
-               if not any(lab[:k] in labset for k in range(len(lab))))
-
-
-def _leaf_lca_label(t: Tree, mask: int) -> str:
-    labels = [t.labels[t.leaf_vertex(l)] for l in leaves_of_mask(mask)]
-    lo, hi = min(labels), max(labels)
-    i = 0
-    while i < len(lo) and lo[i] == hi[i]:
-        i += 1
-    return lo[:i]
-
-
 def poset_min4(t: Tree, mask: int) -> int:
     """Cheapest of the four poset coverings of `mask` or its complement.
 
     The four counts: maximal vertices with descendants inside the
     complement (covers it by descendant sets); same for `mask` itself;
     and each of those restricted below the lca of the other side, plus
-    one anti-descendant set there.
+    one anti-descendant set there.  The minimum equals
+    min(n_S, n_{S^c}) (module docstring).
     """
     full = t.full_mask
     comp = full ^ mask
     if mask == 0 or comp == 0:
         raise ValueError("poset covering terms need a proper nonempty subset")
     dm = t.desc_masks
-    in_s = [v for v in range(t.size) if not dm[v] & comp]
-    in_c = [v for v in range(t.size) if not dm[v] & mask]
-    t1 = _maxima_labels(t, in_c)
-    t2 = _maxima_labels(t, in_s)
-    lca_c = _leaf_lca_label(t, comp)
-    lca_s = _leaf_lca_label(t, mask)
-    t3 = _maxima_labels(t, [v for v in in_s if t.labels[v].startswith(lca_c)]) + 1
-    t4 = _maxima_labels(t, [v for v in in_c if t.labels[v].startswith(lca_s)]) + 1
-    return min(t1, t2, t3, t4)
+    return min(maximal_desc_count(t, comp),
+               maximal_desc_count(t, mask),
+               1 + maximal_desc_count(t, mask & dm[mask_lca(t, comp)]),
+               1 + maximal_desc_count(t, comp & dm[mask_lca(t, mask)]))
 
 
 def poset_table(t: Tree) -> np.ndarray:
@@ -131,12 +118,7 @@ def poset_table(t: Tree) -> np.ndarray:
 
 def poset_bound(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> BoundValue:
     """Poset-structure exponent for T' covered through the poset of T."""
-    if t.n != t_prime.n:
-        raise ValueError(f"leaf counts differ: {t.n} vs {t_prime.n}")
-    if perm is None:
-        perm = Permutation.identity(t.n)
-    if perm.n != t.n:
-        raise ValueError(f"permutation size {perm.n} does not match {t.n} leaves")
+    perm = instance_perm(t, t_prime, perm)
     full = t.full_mask
     best, best_mask = 1, None
     for m in doad_family(t_prime).masks:

@@ -1,11 +1,35 @@
 """Exact minimum doad-set covers and the cover-based containment exponent.
 
-For a tree T, the cover table holds, for every leaf subset S, the
-minimal number n_S of doad sets of T whose union is exactly S.  Minimal
-covers of proper subsets can always be taken pairwise disjoint (two
-overlapping doad sets are nested or union to the whole leaf set, so one
-of them is redundant), which lets a breadth-first subset sweep over
-disjoint unions compute every n_S exactly.
+For a tree T and a leaf subset S, n_S is the minimal number of doad
+sets of T whose union is exactly S.  Minimal covers of proper subsets
+can always be taken pairwise disjoint (two overlapping doad sets are
+nested or union to the whole leaf set, so one of them is redundant).
+
+Their structure gives n_S in closed form.  Let S be proper and
+nonempty, write d(v) and a(v) for the descendant and anti-descendant
+sets of v, and D(X) for the number of maximal descendant sets inside X.
+
+* Two disjoint anti sets a(u), a(v) need d(u) | d(v) to be every leaf,
+  so u and v are the root's children, where a(v) = d(u) is also a
+  descendant set.  A minimal cover is therefore descendant sets plus
+  at most one anti set.
+* Descendant sets only: each maximal descendant set inside S needs a
+  set of its own, and those sets alone partition S, so D(S) is optimal.
+* One anti set a(v): a(v) lies in S exactly when S^c lies in d(v),
+  that is when v is lca(S^c) (the deepest vertex whose descendant set
+  contains S^c) or an ancestor of it.  The rest of the cover is
+  disjoint from a(v), so it covers S & d(v) by descendant sets, with
+  D(S & d(v)) of them.  For a strict ancestor v' of v = lca(S^c), no
+  descendant set inside S contains d(v) (d(v) meets S^c), so
+  D(S & d(v')) >= D(S & d(v)): the lca is the best choice.
+
+Hence n_S = min(D(S), 1 + D(S & d(lca(S^c)))), with n_0 = 0 and
+n_full = 1; at the root the second term is 1 + D(S) and never wins.
+CoverCounter evaluates this one subset at a time from the tree alone,
+so cover_exponent answers for every tree up to LEAF_CAP leaves.  The
+layered BFS CoverTable over all 2^n subsets is the route of the
+exhaustive search (kind "cover") and the tests' oracle for the closed
+form; bounds.poset_min4 reads the same structure as min(n_S, n_{S^c}).
 
 The containment exponent certificate for a pair (T, T') under a leaf
 permutation is then: for every internal node w of T', cover either the
@@ -27,15 +51,18 @@ from typing import Optional
 import numpy as np
 
 from .trees import (
-    DoadFamily,
     Permutation,
     Tree,
     doad_family,
+    instance_perm,
     leaves_of_mask,
+    mask_lca,
+    maximal_desc_count,
 )
 
 __all__ = [
     "CoverTable",
+    "CoverCounter",
     "build_cover_table",
     "cover_exponent",
     "ExponentReport",
@@ -45,12 +72,38 @@ __all__ = [
     "TrivialContainment",
 ]
 
-COVER_TABLE_CAP = 24  # 2^n table entries; larger n must go through the IP
+COVER_TABLE_CAP = 24  # 2^n table entries; CoverCounter has no such cap
 _UNSET = 255
 
 
 # ---------------------------------------------------------------------------
 # cover tables
+
+def _greedy_witness(t: Tree, count, mask: int) -> tuple:
+    """One optimal decomposition of `mask` as (vertex, kind, set) triples.
+
+    `count` gives the exact n_S of any subset of T's leaves.  Each step
+    removes the doad set d inside what remains with
+    n(remaining ^ d) = k - 1 whose (vertex, kind) is smallest, "desc"
+    before "anti", so the result is pairwise disjoint and deterministic.
+    A set is first reached at its smallest witness, which is the one
+    reported.
+    """
+    full = t.full_mask
+    doads = [(vid, kind, d) for vid, d_v in enumerate(t.desc_masks)
+             for kind, d in (("desc", d_v), ("anti", full ^ d_v)) if d]
+    out = []
+    remaining = mask
+    k = count(mask)
+    while remaining:
+        k -= 1
+        for vid, kind, d in doads:
+            if not d & ~remaining and count(remaining ^ d) == k:
+                break
+        out.append((vid, kind, d))
+        remaining ^= d
+    return tuple(out)
+
 
 class CoverTable:
     """Minimum doad-cover sizes for every leaf subset of one tree.
@@ -61,11 +114,10 @@ class CoverTable:
     optimal choices).
     """
 
-    __slots__ = ("tree", "family", "counts")
+    __slots__ = ("tree", "counts")
 
-    def __init__(self, tree: Tree, family: DoadFamily, counts: np.ndarray):
+    def __init__(self, tree: Tree, counts: np.ndarray):
         self.tree = tree
-        self.family = family
         self.counts = counts
 
     def count(self, mask: int) -> int:
@@ -73,24 +125,37 @@ class CoverTable:
 
     def witness(self, mask: int) -> tuple:
         """One optimal decomposition of `mask` as (vertex, kind, set) triples."""
-        out = []
-        remaining = mask
-        k = self.count(mask)
-        while remaining:
-            best = None
-            for d in self.family.masks:
-                if d & ~remaining:
-                    continue
-                if self.counts[remaining ^ d] == k - 1:
-                    vid, kind = self.family.witnesses[d][0]
-                    cand = (vid, kind != "desc", d)
-                    if best is None or cand < best:
-                        best = cand
-            vid, anti, d = best
-            out.append((vid, "anti" if anti else "desc", d))
-            remaining ^= d
-            k -= 1
-        return tuple(out)
+        return _greedy_witness(self.tree, self.count, mask)
+
+
+class CoverCounter:
+    """Exact n_S for one leaf subset at a time, read off the tree.
+
+    Same interface as CoverTable, without the 2^n table: n_S is the
+    closed form of the module docstring, so any tree up to LEAF_CAP
+    leaves is answered, one query in time linear in the tree size.
+    """
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: Tree):
+        self.tree = tree
+
+    def count(self, mask: int) -> int:
+        t = self.tree
+        full = t.full_mask
+        if mask == full:
+            return 1
+        if not mask:
+            return 0
+        # at the root the anti term is 1 + D(S), never below D(S)
+        lca_c = mask_lca(t, full ^ mask)
+        return min(maximal_desc_count(t, mask),
+                   1 + maximal_desc_count(t, mask & t.desc_masks[lca_c]))
+
+    def witness(self, mask: int) -> tuple:
+        """One optimal decomposition of `mask` as (vertex, kind, set) triples."""
+        return _greedy_witness(self.tree, self.count, mask)
 
 
 def build_cover_table(t: Tree) -> CoverTable:
@@ -99,8 +164,7 @@ def build_cover_table(t: Tree) -> CoverTable:
         raise ValueError(
             f"cover tables are capped at {COVER_TABLE_CAP} leaves (got {t.n}); "
             "use the integer program for larger trees")
-    family = doad_family(t)
-    doads = np.array(family.masks, dtype=np.int64)
+    doads = np.array(doad_family(t).masks, dtype=np.int64)
     counts = np.full(1 << t.n, _UNSET, dtype=np.uint8)
     counts[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
@@ -115,7 +179,7 @@ def build_cover_table(t: Tree) -> CoverTable:
                 counts[ext] = layer
                 grown.append(ext)
         frontier = np.unique(np.concatenate(grown)) if grown else np.zeros(0, dtype=np.int64)
-    return CoverTable(t, family, counts)
+    return CoverTable(t, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +256,16 @@ def _node_label(t: Tree, v: int) -> str:
 
 
 def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
-                   table: Optional[CoverTable] = None,
+                   table: Optional[CoverTable | CoverCounter] = None,
                    with_witnesses: bool = False) -> ExponentReport:
-    """Certified containment exponent for T' covered by doad sets of T."""
-    if t.n != t_prime.n:
-        raise ValueError(f"leaf counts differ: {t.n} vs {t_prime.n}")
-    if perm is None:
-        perm = Permutation.identity(t.n)
-    if perm.n != t.n:
-        raise ValueError(f"permutation size {perm.n} does not match {t.n} leaves")
+    """Certified containment exponent for T' covered by doad sets of T.
+
+    Cover numbers come from `table` when one is given (a CoverTable or a
+    CoverCounter for T), else from a CoverCounter.
+    """
+    perm = instance_perm(t, t_prime, perm)
     if table is None:
-        table = build_cover_table(t)
+        table = CoverCounter(t)
     elif table.tree != t:
         raise ValueError("cover table was built for a different tree")
 
@@ -354,12 +417,7 @@ def check_trivial_containment(t: Tree, f, t_prime: Tree, f_prime,
     Every vertex of T' must admit a doad cover of its descendant or
     anti-descendant side whose f-product does not exceed f' there.
     """
-    if t.n != t_prime.n:
-        raise ValueError(f"leaf counts differ: {t.n} vs {t_prime.n}")
-    if perm is None:
-        perm = Permutation.identity(t.n)
-    if perm.n != t.n:
-        raise ValueError(f"permutation size {perm.n} does not match {t.n} leaves")
+    perm = instance_perm(t, t_prime, perm)
     fp = _f_vector(t_prime, f_prime)
     pc = _ProductCover(t, f)
     full = t.full_mask

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .trees import Permutation, Tree, leaves_of_mask
+from .trees import Permutation, Tree, instance_perm, leaves_of_mask
 
 __all__ = ["IpRow", "IpModel", "IpSolution", "build_ip", "solve_ip", "export_lp"]
 
@@ -94,12 +94,7 @@ def _lab(t: Tree, v: int) -> str:
 
 def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpModel:
     """Assemble the integer program for covering T' by doad sets of T."""
-    if t.n != t_prime.n:
-        raise ValueError(f"leaf counts differ: {t.n} vs {t_prime.n}")
-    if perm is None:
-        perm = Permutation.identity(t.n)
-    if perm.n != t.n:
-        raise ValueError(f"permutation size {perm.n} does not match {t.n} leaves")
+    perm = instance_perm(t, t_prime, perm)
     full = t.full_mask
     nodes = [w for w in t_prime.internal]
 

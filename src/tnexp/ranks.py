@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trees import Permutation, Tree, leaves_of_mask
+from .trees import Permutation, Tree, instance_perm, leaves_of_mask
 
 __all__ = [
     "PRIME",
@@ -249,10 +249,7 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
     t = spec.tree
     if probe.n != t.n:
         raise ValueError(f"probe has {probe.n} leaves, tensor has {t.n}")
-    if perm is None:
-        perm = Permutation.identity(t.n)
-    if perm.n != t.n:
-        raise ValueError(f"permutation size {perm.n} does not match {t.n} leaves")
+    perm = instance_perm(t, probe, perm)
     if isinstance(f_prime, int):
         fp = (f_prime,) * probe.size
     else:

@@ -36,10 +36,13 @@ __all__ = [
     "label_dual_height",
     "Permutation",
     "all_permutations",
+    "instance_perm",
     "up_set",
     "down_set",
     "lca",
     "maxima_count",
+    "mask_lca",
+    "maximal_desc_count",
     "full_mask",
     "mask_from_leaves",
     "leaves_of_mask",
@@ -437,6 +440,33 @@ def maxima_count(t: Tree, vs) -> int:
     return count
 
 
+def mask_lca(t: Tree, mask: int) -> int:
+    """Deepest vertex whose descendant set contains the nonempty leaf mask."""
+    dm, left, right = t.desc_masks, t.left, t.right
+    v = t.root
+    while left[v] >= 0:
+        if not mask & ~dm[left[v]]:
+            v = left[v]
+        elif not mask & ~dm[right[v]]:
+            v = right[v]
+        else:
+            break
+    return v
+
+
+def maximal_desc_count(t: Tree, mask: int) -> int:
+    """Number of maximal descendant sets inside a leaf mask.
+
+    These are the vertices u with d(u) inside `mask` whose parent's
+    descendant set is not; their descendant sets partition `mask`, and
+    they are the only exact cover of it by descendant sets.  Each part
+    is a subtree with one internal vertex fewer than leaves, so the
+    count is 2|mask| minus the number of vertices inside `mask`.
+    """
+    outside = ~mask
+    return 2 * mask.bit_count() - [d & outside for d in t.desc_masks].count(0)
+
+
 # ---------------------------------------------------------------------------
 # permutations of the leaf set
 
@@ -514,6 +544,17 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.perm)})"
+
+
+def instance_perm(t: Tree, t_prime: Tree, perm=None) -> Permutation:
+    """Check a (T, T', pi) instance and return pi (identity when None)."""
+    if t.n != t_prime.n:
+        raise ValueError(f"leaf counts differ: {t.n} vs {t_prime.n}")
+    if perm is None:
+        perm = Permutation.identity(t.n)
+    if perm.n != t.n:
+        raise ValueError(f"permutation size {perm.n} does not match {t.n} leaves")
+    return perm
 
 
 def all_permutations(n: int):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import EIGHT_LEAVES, NOT_SHARP_A, brute_cover_table
@@ -12,7 +13,7 @@ from tnexp.bounds import (
     poset_table,
     trivial_bound,
 )
-from tnexp.covers import cover_exponent
+from tnexp.covers import build_cover_table, cover_exponent
 from tnexp.trees import (
     all_permutations,
     build_ht,
@@ -20,6 +21,7 @@ from tnexp.trees import (
     enumerate_plane_trees,
     enumerate_shapes,
     heights,
+    leaves_of_mask,
     parse_tree,
 )
 
@@ -82,6 +84,49 @@ def test_poset_table_matches_pointwise():
     for mask in range(1, t.full_mask):
         assert table[mask] == poset_min4(t, mask)
     assert table[0] == 0 and table[t.full_mask] == 0
+
+
+def _poset_min4_by_labels(t, mask):
+    """The path-label form of poset_min4: ancestry is a label prefix."""
+    def maxima(vids):
+        labset = {t.labels[v] for v in vids}
+        return sum(1 for lab in labset
+                   if not any(lab[:k] in labset for k in range(len(lab))))
+
+    def leaf_lca_label(m):
+        labels = [t.labels[t.leaf_vertex(l)] for l in leaves_of_mask(m)]
+        lo, hi = min(labels), max(labels)
+        i = 0
+        while i < len(lo) and lo[i] == hi[i]:
+            i += 1
+        return lo[:i]
+
+    comp = t.full_mask ^ mask
+    dm = t.desc_masks
+    in_s = [v for v in range(t.size) if not dm[v] & comp]
+    in_c = [v for v in range(t.size) if not dm[v] & mask]
+    lca_c, lca_s = leaf_lca_label(comp), leaf_lca_label(mask)
+    return min(maxima(in_c), maxima(in_s),
+               maxima([v for v in in_s if t.labels[v].startswith(lca_c)]) + 1,
+               maxima([v for v in in_c if t.labels[v].startswith(lca_s)]) + 1)
+
+
+def test_poset_min4_matches_label_formula():
+    for n in range(2, 11):
+        for t in enumerate_shapes(n):
+            for mask in range(1, t.full_mask):
+                assert poset_min4(t, mask) == _poset_min4_by_labels(t, mask), (t, mask)
+
+
+def test_poset_table_is_min_of_exact_covers():
+    # the poset minimum is exact: min(n_S, n_{S^c}) on every proper subset
+    for n in range(2, 10):
+        for t in enumerate_shapes(n):
+            counts = build_cover_table(t).counts
+            full = t.full_mask
+            want = np.minimum(counts, counts[::-1])  # counts[::-1][m] == counts[full ^ m]
+            want[0] = want[full] = 0
+            assert np.array_equal(poset_table(t), want), t
 
 
 def test_poset_dominates_cover_on_permuted_instances():

@@ -1,14 +1,18 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from conftest import NOT_SHARP_A, NOT_SHARP_B, brute_cover_table
 from tnexp.covers import (
+    CoverCounter,
     build_cover_table,
     check_trivial_containment,
     cover_exponent,
     min_product_cover,
 )
+from tnexp.ilp import build_ip, solve_ip
 from tnexp.trees import (
     Permutation,
     all_permutations,
@@ -79,6 +83,56 @@ def test_witness_decompositions():
 def test_table_cap():
     with pytest.raises(ValueError):
         build_cover_table(build_tt(25))
+
+
+# ---------------------------------------------------------------------------
+# per-query closed form against the BFS table
+
+def test_counter_matches_table_every_subset():
+    for n in range(2, 11):
+        for t in enumerate_shapes(n):
+            counter = CoverCounter(t)
+            got = [counter.count(mask) for mask in range(1 << n)]
+            assert np.array_equal(got, build_cover_table(t).counts), t
+
+
+def test_counter_witness_matches_table():
+    trees = [t for n in range(2, 8) for t in enumerate_shapes(n)]
+    for t in trees + [build_tt(12), build_ht(4)]:
+        table, counter = build_cover_table(t), CoverCounter(t)
+        # ht:4 has 65536 subsets; a stride keeps the test short
+        step = 7 if t.n > 12 else 1
+        for mask in range(0, 1 << t.n, step):
+            assert counter.witness(mask) == table.witness(mask), (t, mask)
+
+
+def test_default_route_matches_table_route():
+    rng = random.Random(6)
+    shapes = enumerate_shapes(6)
+    perms = [Permutation(rng.sample(range(1, 7), 6)) for _ in range(10)]
+    for t, t2 in itertools.product(shapes, repeat=2):
+        table = build_cover_table(t)
+        for perm in perms:
+            a = cover_exponent(t, t2, perm, with_witnesses=True).to_dict()
+            b = cover_exponent(t, t2, perm, table=table, with_witnesses=True).to_dict()
+            assert a == b
+
+
+def test_exponent_past_table_cap_matches_ip():
+    ht5, tt32 = build_ht(5), build_tt(32)
+    for t, t2, want in ((ht5, tt32, 3), (tt32, ht5, 2)):
+        rep = cover_exponent(t, t2, with_witnesses=True)
+        assert rep.cover_bound == want
+        assert solve_ip(build_ip(t, t2)).objective == want
+        for nc in rep.per_node:
+            side = nc.desc_set if nc.chosen == "desc" else nc.anti_set
+            sets = [m for *_, m in rep.witnesses[nc.label]]
+            assert len(sets) == nc.value
+            union = 0
+            for m in sets:
+                assert not union & m  # pairwise disjoint
+                union |= m
+            assert union == side
 
 
 # ---------------------------------------------------------------------------

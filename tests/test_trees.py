@@ -19,7 +19,9 @@ from tnexp.trees import (
     lca,
     leaves_of_mask,
     mask_from_leaves,
+    mask_lca,
     maxima_count,
+    maximal_desc_count,
     parse_tree,
     serialize_tree,
     up_set,
@@ -251,6 +253,17 @@ def test_maxima_example():
     rest = set(range(t.size)) - up_set(t, [t.leaf_vertex(1)])
     assert maxima_count(t, rest) == 2
     assert maxima_count(t, range(t.size)) == 1
+
+
+def test_mask_queries_match_vertex_queries():
+    for n in range(2, 7):
+        for t in enumerate_shapes(n):
+            dm = t.desc_masks
+            for mask in range(1, t.full_mask + 1):
+                leaves = [t.leaf_vertex(l) for l in leaves_of_mask(mask)]
+                assert mask_lca(t, mask) == lca(t, leaves)
+                inside = [v for v in range(t.size) if not dm[v] & ~mask]
+                assert maximal_desc_count(t, mask) == maxima_count(t, inside)
 
 
 # ---------------------------------------------------------------------------
