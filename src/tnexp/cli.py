@@ -15,8 +15,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import covers, ilp, ranks, search
 from .trees import Permutation, Tree, build_ht, build_tt, enumerate_plane_trees, \
@@ -184,8 +182,7 @@ def _cmd_verify_ranks(args) -> int:
         exponent = covers.cover_exponent(t, probe, perm).cover_bound
     profiles = []
     ok = True
-    trial_seeds = [int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.trials)]
-    for ts in trial_seeds:
+    for ts in ranks.trial_seeds(args.seed, args.trials):
         tensor = ranks.sample_tensor(spec, ts)
         prof = ranks.rank_profile(tensor, probe, perm=perm, f_prime=args.f_prime,
                                   exponent=exponent)
@@ -322,6 +319,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ranks.RankMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

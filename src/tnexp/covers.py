@@ -58,6 +58,7 @@ from .trees import (
     leaves_of_mask,
     mask_lca,
     maximal_desc_count,
+    weight_vector,
 )
 
 __all__ = [
@@ -300,27 +301,12 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
 # ---------------------------------------------------------------------------
 # f-weighted covers and trivial containment
 
-def _f_vector(t: Tree, f) -> tuple[int, ...]:
-    """Normalize a weight spec (scalar, mapping by label, or sequence by id)."""
-    if isinstance(f, int):
-        vec = (f,) * t.size
-    elif isinstance(f, dict):
-        vec = tuple(int(f.get(t.labels[v], f.get(_node_label(t, v), 1))) for v in range(t.size))
-    else:
-        vec = tuple(int(x) for x in f)
-        if len(vec) != t.size:
-            raise ValueError(f"weight vector has {len(vec)} entries, tree has {t.size} vertices")
-    if any(x < 1 for x in vec):
-        raise ValueError("vertex weights must be positive")
-    return vec
-
-
 class _ProductCover:
     """Memoized minimum f-product doad covers of one tree."""
 
     def __init__(self, t: Tree, f):
         self.t = t
-        self.f = _f_vector(t, f)
+        self.f = weight_vector(t, f)
         self.family = doad_family(t)
         # cheapest witness per doad set: weight, then (vertex, kind) tiebreak
         self.weight = {}
@@ -418,7 +404,7 @@ def check_trivial_containment(t: Tree, f, t_prime: Tree, f_prime,
     anti-descendant side whose f-product does not exceed f' there.
     """
     perm = instance_perm(t, t_prime, perm)
-    fp = _f_vector(t_prime, f_prime)
+    fp = weight_vector(t_prime, f_prime)
     pc = _ProductCover(t, f)
     full = t.full_mask
 

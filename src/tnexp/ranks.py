@@ -9,7 +9,14 @@ integers -- no tolerance tuning -- while generic behavior over a field
 this large matches the characteristic-zero picture.
 
 The flattening of the sampled tensor along any leaf split is an exact
-matrix rank computed by modular Gaussian elimination.  Comparing the
+matrix rank computed by modular Gaussian elimination.  Flattenings are
+mostly skinny (say 4 x 16384), and a skinny matrix M is first ranked on
+a sub-block of 4k evenly spaced rows or columns of its long side, with
+k = min(rows, cols).  Deleting lines cannot raise a rank, so
+rank(sub) <= rank(M) <= min(rows, cols) = k: a sub-block of rank k
+certifies rank(M) = k exactly, and only a deficient sub-block leads to
+eliminating all of M.  No probability enters the answer; the choice of
+lines only decides how often the fallback runs.  Comparing the
 observed ranks at the nodes of a second (probe) tree against
 r**c * f'(node) gives a one-sided empirical check of a claimed
 containment exponent c: a violation disproves it, agreement is evidence
@@ -25,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trees import Permutation, Tree, instance_perm, leaves_of_mask
+from .trees import Permutation, Tree, instance_perm, leaves_of_mask, weight_vector
 
 __all__ = [
     "PRIME",
@@ -36,11 +43,14 @@ __all__ = [
     "FlatteningProfile",
     "rank_profile",
     "empirical_exponent",
+    "trial_seeds",
+    "RankMismatchError",
     "mat_rank",
 ]
 
 PRIME = 2 ** 31 - 1
 AMBIENT_CAP = 1 << 22       # total tensor entries
+BASIS_CAP = 1 << 28         # entries of the largest matrix one vertex builds
 _MATMUL_SPLIT = 1 << 16     # contraction length cap for the split trick
 
 
@@ -59,31 +69,66 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((hi @ b % PRIME) * (1 << 16) + lo @ b) % PRIME
 
 
-def mat_rank(a: np.ndarray) -> int:
-    """Exact rank of an integer matrix over the field mod PRIME."""
-    m = np.array(a, dtype=np.int64) % PRIME
-    if m.ndim != 2:
-        raise ValueError("rank needs a 2-d array")
+def _eliminate(m: np.ndarray) -> int:
+    """Rank of m (entries already in [0, PRIME)), by elimination in place.
+
+    Column pivots; each step updates only the trailing block below and
+    right of its pivot, with multipliers that carry the pivot inverse, so
+    no row is normalised and entries left of the current column go stale.
+    Stops once every row holds a pivot or the remaining block is zero.
+    """
     rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivots = np.nonzero(m[r:, c])[0]
-        if pivots.size == 0:
+    r = c = 0
+    while r < rows and c < cols:
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            live = np.flatnonzero(m[r:, c:].any(axis=0))
+            if live.size == 0:
+                break
+            c += int(live[0])
             continue
-        p = r + int(pivots[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
+        if nz[0]:
+            p = r + int(nz[0])
+            m[[r, p], c:] = m[[p, r], c:]
         inv = pow(int(m[r, c]), PRIME - 2, PRIME)
-        m[r] = m[r] * inv % PRIME
-        below = m[r + 1:, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            rows_nz = r + 1 + nz
-            m[rows_nz] = (m[rows_nz] - np.outer(m[rows_nz, c], m[r])) % PRIME
+        mult = m[r + 1:, c] * inv % PRIME
+        block = m[r + 1:, c + 1:]
+        block -= np.outer(mult, m[r, c + 1:])
+        block %= PRIME
         r += 1
+        c += 1
     return r
+
+
+def mat_rank(a: np.ndarray) -> int:
+    """Exact rank of an integer matrix over the field mod PRIME.
+
+    A skinny matrix is first tried on 4k evenly spaced lines of its long
+    side (k = min(rows, cols)): rank(sub) <= rank(a) <= k, so a sub-block
+    of rank k certifies rank k exactly.  Otherwise the whole matrix is
+    eliminated.  Neither route transposes the input.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError("rank needs a 2-d array")
+    rows, cols = a.shape
+    k, long = min(rows, cols), max(rows, cols)
+    if long > 4 * k:
+        lines = np.linspace(0, long - 1, 4 * k).round().astype(np.intp)
+        sub = a[lines] if rows > cols else a[:, lines]
+        if _eliminate(sub % PRIME) == k:
+            return k
+    return _eliminate(a % PRIME)
+
+
+def _times_kron(coeff: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:
+    """coeff @ kron(bl, br) mod PRIME, contracting with br, then bl."""
+    k = coeff.shape[0]
+    (kl, al), (kr, ar) = bl.shape, br.shape
+    half = _matmul_mod(coeff.reshape(k * kl, kr), br)
+    half = half.reshape(k, kl, ar).transpose(0, 2, 1).reshape(k * ar, kl)
+    out = _matmul_mod(half, bl).reshape(k, ar, al).transpose(0, 2, 1)
+    return out.reshape(k, al * ar)
 
 
 def _random_full_rank(rng: np.random.Generator, dim: int, ambient: int):
@@ -119,12 +164,7 @@ class NetworkSpec:
             leaf_dims = tuple(int(d) for d in leaf_dims)
         if len(leaf_dims) != tree.n or any(d < 1 for d in leaf_dims):
             raise ValueError(f"need {tree.n} positive leaf dimensions")
-        if isinstance(f, int):
-            f = (f,) * tree.size
-        else:
-            f = tuple(int(x) for x in f)
-        if len(f) != tree.size or any(x < 1 for x in f):
-            raise ValueError(f"need {tree.size} positive dimension-vector entries")
+        f = weight_vector(tree, f, "dimension-vector")
         if r < 1:
             raise ValueError("scale r must be >= 1")
         return cls(tree=tree, leaf_dims=leaf_dims, f=f, r=int(r))
@@ -154,7 +194,15 @@ def sample_tensor(spec: NetworkSpec, seed: int) -> SampledTensor:
 
     Every vertex subspace has dimension min(r * f_v, ambient), realized
     as a random full-rank coefficient matrix against the children's
-    (Kronecker) basis; leaves draw directly inside their leaf space.
+    (Kronecker) basis, which is never formed; leaves draw directly
+    inside their leaf space.  The root's random vector is folded into
+    its coefficients first, so the root basis is never built either.
+
+    BASIS_CAP bounds the largest matrix of each vertex before it is
+    drawn: the dim U_v x leaf-space basis, or at the root the dim U_v x
+    ambient coefficients.  An explicit Kronecker basis has at least as
+    many entries as either, so a spec over the cap would need a 2 GiB
+    int64 array that way too.
     """
     t = spec.tree
     if spec.ambient_dim > AMBIENT_CAP:
@@ -166,22 +214,26 @@ def sample_tensor(spec: NetworkSpec, seed: int) -> SampledTensor:
     resamples = 0
     for v in range(t.size - 1, -1, -1):
         if t.is_leaf(v):
-            amb = spec.leaf_dims[t.leaf_number(v) - 1]
-            k = min(spec.r * spec.f[v], amb)
-            basis, extra = _random_full_rank(rng, k, amb)
+            children = ()
+            space = amb = spec.leaf_dims[t.leaf_number(v) - 1]
         else:
-            bl, br = bases.pop(t.left[v]), bases.pop(t.right[v])
-            amb = bl.shape[0] * br.shape[0]
-            k = min(spec.r * spec.f[v], amb)
-            coeff, extra = _random_full_rank(rng, k, amb)
-            basis = _matmul_mod(coeff, np.kron(bl, br) % PRIME)
-        bases[v] = basis
-        dims[v] = k
+            children = bl, br = bases.pop(t.left[v]), bases.pop(t.right[v])
+            amb, space = bl.shape[0] * br.shape[0], bl.shape[1] * br.shape[1]
+        k = min(spec.r * spec.f[v], amb)
+        held = amb if v == t.root else space
+        if k * held > BASIS_CAP:
+            raise ValueError(
+                f"a {k} x {held} matrix at vertex {t.labels[v] or 'r'} exceeds "
+                f"the cap of {BASIS_CAP} entries")
+        coeff, extra = _random_full_rank(rng, k, amb)
         resamples += extra
-    root_basis = bases.pop(t.root)
-    vec, extra = _random_full_rank(rng, 1, dims[t.root])
-    resamples += extra
-    coeffs = _matmul_mod(vec, root_basis)[0]
+        if v == t.root:
+            vec, extra = _random_full_rank(rng, 1, k)
+            resamples += extra
+            coeff = _matmul_mod(vec, coeff)
+        bases[v] = _times_kron(coeff, *children) if children else coeff
+        dims[v] = k
+    coeffs = bases.pop(t.root)[0]
     return SampledTensor(spec=spec, seed=seed, coeffs=coeffs,
                          subspace_dims=tuple(dims), resamples=resamples)
 
@@ -206,6 +258,10 @@ def flattening_rank(tensor: SampledTensor, mask: int) -> int:
     if mask == 0 or mask == full:
         raise ValueError("flattening needs a nonempty proper leaf subset")
     return mat_rank(_flat_matrix(tensor, mask))
+
+
+class RankMismatchError(RuntimeError):
+    """A flattening and its transpose were ranked differently."""
 
 
 @dataclass(frozen=True)
@@ -243,19 +299,15 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
     Each non-root vertex v' of the probe tree contributes the split at
     its pulled-back descendant set, compared against
     r**exponent * f'(v').  With check_transpose the complementary
-    reshaping is ranked too and must agree.
+    reshaping is ranked too, and RankMismatchError is raised if the two
+    ranks differ.
     """
     spec = tensor.spec
     t = spec.tree
     if probe.n != t.n:
         raise ValueError(f"probe has {probe.n} leaves, tensor has {t.n}")
     perm = instance_perm(t, probe, perm)
-    if isinstance(f_prime, int):
-        fp = (f_prime,) * probe.size
-    else:
-        fp = tuple(int(x) for x in f_prime)
-        if len(fp) != probe.size:
-            raise ValueError(f"need {probe.size} probe dimension-vector entries")
+    fp = weight_vector(probe, f_prime, "probe dimension-vector")
 
     full = t.full_mask
     entries = []
@@ -272,7 +324,7 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
             if check_transpose:
                 co_rank = flattening_rank(tensor, full ^ mask)
                 if co_rank != rank:
-                    raise AssertionError(
+                    raise RankMismatchError(
                         f"transpose rank mismatch at split {leaves_of_mask(mask)}: "
                         f"{rank} vs {co_rank}")
             cache[mask] = rank
@@ -298,6 +350,13 @@ def _needed_exponent(rank: int, r: int, f_val: int) -> int:
     return e
 
 
+def trial_seeds(seed: int, trials: int) -> list[int]:
+    """Per-trial sampling seeds, all drawn from one master seed."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
+
+
 def empirical_exponent(spec: NetworkSpec, probe: Tree,
                        perm: Optional[Permutation] = None, trials: int = 10,
                        seed: int = 0, f_prime=1) -> dict:
@@ -315,15 +374,12 @@ def empirical_exponent(spec: NetworkSpec, probe: Tree,
         raise ValueError("empirical exponents need r >= 2 (logarithm base)")
     if perm is None:
         perm = Permutation.identity(spec.tree.n)
-    if isinstance(f_prime, int):
-        fp = (f_prime,) * probe.size
-    else:
-        fp = tuple(int(x) for x in f_prime)
+    fp = weight_vector(probe, f_prime, "probe dimension-vector")
     f_of = {probe.labels[v] or "r": fp[v] for v in range(probe.size)}
-    trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
+    seeds = trial_seeds(seed, trials)
     per_node: dict[str, int] = {}
     per_node_rank: dict[str, int] = {}
-    for ts in trial_seeds:
+    for ts in seeds:
         tensor = sample_tensor(spec, ts)
         profile = rank_profile(tensor, probe, perm=perm, f_prime=fp,
                                exponent=1, check_transpose=False)
@@ -338,7 +394,7 @@ def empirical_exponent(spec: NetworkSpec, probe: Tree,
         "r": spec.r,
         "trials": trials,
         "seed": seed,
-        "trial_seeds": trial_seeds,
+        "trial_seeds": seeds,
         "max_exponent": max(per_node.values(), default=0),
         "per_node_exponent": dict(sorted(per_node.items())),
         "per_node_rank": dict(sorted(per_node_rank.items())),

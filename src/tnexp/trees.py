@@ -43,6 +43,7 @@ __all__ = [
     "maxima_count",
     "mask_lca",
     "maximal_desc_count",
+    "weight_vector",
     "full_mask",
     "mask_from_leaves",
     "leaves_of_mask",
@@ -465,6 +466,25 @@ def maximal_desc_count(t: Tree, mask: int) -> int:
     """
     outside = ~mask
     return 2 * mask.bit_count() - [d & outside for d in t.desc_masks].count(0)
+
+
+def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:
+    """Positive per-vertex weights, indexed by vertex id.
+
+    f is a scalar for every vertex, a sequence by vertex id, or a
+    mapping by label (the root also as "r") where unlisted vertices
+    weigh 1.  `what` names the vector in the error message.
+    """
+    if isinstance(f, int):
+        vec = (f,) * t.size
+    elif isinstance(f, dict):
+        vec = tuple(int(f.get(t.labels[v], f.get(t.labels[v] or "r", 1)))
+                    for v in range(t.size))
+    else:
+        vec = tuple(int(x) for x in f)
+    if len(vec) != t.size or any(x < 1 for x in vec):
+        raise ValueError(f"need {t.size} positive {what} entries")
+    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,23 @@ def test_error_paths(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_verify_ranks_bad_input_exits_2(capsys):
+    for extra in (("--dims", "161", "--r", "20000"), ("--trials", "0"), ("--f-prime", "0"),
+                  ("--f-prime", "-1")):
+        code, out, err = run_cli(capsys, "verify-ranks", "--tree", "tt:3", "--probe", "tt:3",
+                                 *extra)
+        assert code == 2 and not out, extra
+        assert err.startswith("error:") and err.count("\n") == 1, (extra, err)
+
+
+def test_verify_ranks_transpose_mismatch_exits_1(capsys, monkeypatch):
+    from tnexp import ranks
+    monkeypatch.setattr(ranks, "mat_rank", lambda a: a.shape[0])
+    code, out, err = run_cli(capsys, "verify-ranks", "--tree", "tt:4", "--probe", "tt:4")
+    assert code == 1 and not out
+    assert err.startswith("error: transpose rank mismatch") and err.count("\n") == 1
+
+
 def test_table_output(capsys):
     code, out, _ = run_cli(capsys, "exponent", "ht:2", "tt:4", "--table")
     assert code == 0

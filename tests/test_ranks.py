@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import EIGHT_LEAVES
+from tnexp import ranks
 from tnexp.bounds import poset_bound
 from tnexp.covers import cover_exponent
 from tnexp.ranks import (
@@ -12,8 +13,9 @@ from tnexp.ranks import (
     mat_rank,
     rank_profile,
     sample_tensor,
+    trial_seeds,
 )
-from tnexp.trees import build_ht, build_tt, parse_tree
+from tnexp.trees import build_ht, build_tt, enumerate_shapes, parse_tree
 
 
 # ---------------------------------------------------------------------------
@@ -196,3 +198,189 @@ def test_empirical_reports_seeds():
     b = empirical_exponent(spec, build_tt(4), trials=3, seed=5)
     assert a["trial_seeds"] == b["trial_seeds"]
     assert len(a["trial_seeds"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# exactness of mat_rank against the plain elimination it replaced
+
+def _reference_rank(a) -> int:
+    """Full Gauss-Jordan elimination over every column, row-normalised."""
+    m = np.array(a, dtype=np.int64) % PRIME
+    if m.ndim != 2:
+        raise ValueError("rank needs a 2-d array")
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivots = np.nonzero(m[r:, c])[0]
+        if pivots.size == 0:
+            continue
+        p = r + int(pivots[0])
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        inv = pow(int(m[r, c]), PRIME - 2, PRIME)
+        m[r] = m[r] * inv % PRIME
+        below = m[r + 1:, c]
+        nz = np.nonzero(below)[0]
+        if nz.size:
+            rows_nz = r + 1 + nz
+            m[rows_nz] = (m[rows_nz] - np.outer(m[rows_nz, c], m[r])) % PRIME
+        r += 1
+    return r
+
+
+def _low_rank(rng, rows, cols, rank):
+    a = rng.integers(0, PRIME, size=(rows, rank), dtype=np.int64)
+    b = rng.integers(0, PRIME, size=(rank, cols), dtype=np.int64)
+    return ranks._matmul_mod(a, b)
+
+
+def test_mat_rank_skinny_products_both_orientations():
+    rng = np.random.default_rng(11)
+    for rows, cols in ((2, 32768), (4, 16384), (16, 4096), (8, 1024), (64, 1024)):
+        for rank in sorted({rows, rows - 1, rows // 2, 1}):
+            m = _low_rank(rng, rows, cols, rank)
+            for mat in (m, m.T):
+                assert mat_rank(mat) == _reference_rank(mat) == rank
+
+
+def test_mat_rank_falls_back_when_the_sub_block_is_deficient(monkeypatch):
+    # every row but row 1 lies in a 3-dimensional space; no evenly spaced
+    # choice of 16 of the 64 rows that starts at row 0 takes row 1
+    rng = np.random.default_rng(12)
+    m = _low_rank(rng, 64, 4, 3)
+    m[1] = rng.integers(0, PRIME, size=4)
+    shapes = []
+    eliminate = ranks._eliminate
+
+    def recording(block):
+        shapes.append(block.shape)
+        return eliminate(block)
+
+    monkeypatch.setattr(ranks, "_eliminate", recording)
+    for mat in (m, m.T):
+        shapes.clear()
+        assert mat_rank(mat) == _reference_rank(mat) == 4
+        assert len(shapes) == 2 and shapes[-1] == mat.shape
+
+
+def test_mat_rank_edge_inputs():
+    rng = np.random.default_rng(13)
+    cases = [np.zeros((3, 40), dtype=np.int64), np.zeros((40, 3), dtype=np.int64),
+             np.zeros((0, 5), dtype=np.int64), np.zeros((5, 0), dtype=np.int64),
+             np.zeros((0, 0), dtype=np.int64)]
+    big = _low_rank(rng, 6, 50, 3)
+    cases += [big + PRIME, big - 2 * PRIME, (big + PRIME).T,
+              rng.integers(-3 * PRIME, 3 * PRIME, size=(5, 30), dtype=np.int64),
+              np.full((4, 4), PRIME, dtype=np.int64)]
+    for mat in cases:
+        assert mat_rank(mat) == _reference_rank(mat)
+    assert mat_rank(big - 2 * PRIME) == 3
+    with pytest.raises(ValueError):
+        mat_rank(np.zeros(4, dtype=np.int64))
+
+
+def test_mat_rank_every_flattening_of_small_networks():
+    for n in range(2, 8):
+        for t in enumerate_shapes(n):
+            full = t.full_mask
+            for d, r in ((2, 2), (3, 2)):
+                tensor = sample_tensor(NetworkSpec.create(t, leaf_dims=d, r=r), n)
+                for mask in range(1, full):
+                    mat = ranks._flat_matrix(tensor, mask)
+                    assert mat_rank(mat) == _reference_rank(mat), (t.text, d, mask)
+
+
+# ---------------------------------------------------------------------------
+# sampling without the Kronecker product
+
+def _kron_sample(spec, seed):
+    """The bottom-up sampler with explicit Kronecker bases."""
+    t = spec.tree
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bases, dims = {}, [0] * t.size
+    for v in range(t.size - 1, -1, -1):
+        if t.is_leaf(v):
+            amb = spec.leaf_dims[t.leaf_number(v) - 1]
+            k = min(spec.r * spec.f[v], amb)
+            bases[v], _ = ranks._random_full_rank(rng, k, amb)
+        else:
+            bl, br = bases.pop(t.left[v]), bases.pop(t.right[v])
+            amb = bl.shape[0] * br.shape[0]
+            k = min(spec.r * spec.f[v], amb)
+            coeff, _ = ranks._random_full_rank(rng, k, amb)
+            bases[v] = ranks._matmul_mod(coeff, np.kron(bl, br) % PRIME)
+        dims[v] = k
+    vec, _ = ranks._random_full_rank(rng, 1, dims[t.root])
+    return ranks._matmul_mod(vec, bases.pop(t.root))[0]
+
+
+def test_sampling_matches_kronecker_reference():
+    rng = np.random.default_rng(14)
+    for seed in range(12):
+        n = int(rng.integers(2, 8))
+        shapes = enumerate_shapes(n)
+        t = shapes[int(rng.integers(len(shapes)))]
+        spec = NetworkSpec.create(t, leaf_dims=tuple(int(x) for x in rng.integers(1, 4, n)),
+                                  f=tuple(int(x) for x in rng.integers(1, 3, t.size)),
+                                  r=int(rng.integers(1, 4)))
+        assert np.array_equal(sample_tensor(spec, seed).coeffs, _kron_sample(spec, seed))
+
+
+def test_sampling_refuses_oversized_bases():
+    # vertex {1,2}: a 20000 x 25921 basis, refused before it is drawn
+    spec = NetworkSpec.create(build_tt(3), leaf_dims=161, f=1, r=20000)
+    with pytest.raises(ValueError, match="20000 x 25921 matrix at vertex .* cap"):
+        sample_tensor(spec, 0)
+    # root: 40000 x 40000 coefficients against two 200-dimensional leaves
+    t = build_tt(2)
+    spec = NetworkSpec.create(t, leaf_dims=2048, r=1,
+                              f=[40000 if v == t.root else 200 for v in range(t.size)])
+    with pytest.raises(ValueError, match="40000 x 40000 matrix at vertex r "):
+        sample_tensor(spec, 0)
+
+
+def test_sampling_never_builds_the_root_basis():
+    # a 5 x 3748096 root basis (18.7M entries) would be over 2**24; the
+    # root's vector is folded into its 5 x 25 coefficients instead
+    spec = NetworkSpec.create(build_tt(4), leaf_dims=44, r=5)
+    tensor = sample_tensor(spec, 3)
+    assert tensor.coeffs.shape == (44 ** 4,) and tensor.subspace_dims[spec.tree.root] == 5
+    assert 0 <= tensor.coeffs.min() and tensor.coeffs.max() < PRIME
+    for mask in (0b0001, 0b0011, 0b0111):
+        assert flattening_rank(tensor, mask) == 5
+
+
+# ---------------------------------------------------------------------------
+# input validation and the transpose check
+
+def test_weight_vectors_are_checked():
+    spec = NetworkSpec.create(build_tt(7), leaf_dims=2, f=1, r=2)
+    with pytest.raises(ValueError):
+        empirical_exponent(spec, build_tt(7), trials=1, f_prime=(1, 1))
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            empirical_exponent(spec, build_tt(7), trials=1, f_prime=bad)
+        with pytest.raises(ValueError):
+            rank_profile(sample_tensor(spec, 0), build_tt(7), f_prime=bad)
+    with pytest.raises(ValueError, match="need 13 positive dimension-vector entries"):
+        NetworkSpec.create(build_tt(7), f=(1, 1))
+
+
+def test_trial_seeds():
+    assert trial_seeds(5, 3) == [int(s) for s in np.random.SeedSequence(5).generate_state(3)]
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            trial_seeds(0, bad)
+    spec = NetworkSpec.create(build_ht(2), leaf_dims=2, f=1, r=2)
+    with pytest.raises(ValueError):
+        empirical_exponent(spec, build_tt(4), trials=0)
+
+
+def test_transpose_mismatch_raises_named_error(monkeypatch):
+    # a fake rank that reads the orientation: rows of the flattening
+    monkeypatch.setattr(ranks, "mat_rank", lambda a: np.asarray(a).shape[0])
+    spec = NetworkSpec.create(build_tt(4), leaf_dims=2, f=1, r=2)
+    with pytest.raises(ranks.RankMismatchError, match="transpose rank mismatch"):
+        rank_profile(sample_tensor(spec, 0), build_tt(4))
