@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trees import Permutation, Tree, instance_perm, leaves_of_mask, weight_vector
+from .trees import LEAF_CAP, Permutation, Tree, instance_perm, leaves_of_mask, weight_vector
 
 __all__ = [
     "PRIME",
@@ -300,12 +300,15 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
     its pulled-back descendant set, compared against
     r**exponent * f'(v').  With check_transpose the complementary
     reshaping is ranked too, and RankMismatchError is raised if the two
-    ranks differ.
+    ranks differ.  The exponent must lie in 0..LEAF_CAP: every
+    containment exponent is at most floor(n/2) <= LEAF_CAP / 2.
     """
     spec = tensor.spec
     t = spec.tree
     if probe.n != t.n:
         raise ValueError(f"probe has {probe.n} leaves, tensor has {t.n}")
+    if not 0 <= exponent <= LEAF_CAP:
+        raise ValueError(f"exponent must be in 0..{LEAF_CAP}, got {exponent}")
     perm = instance_perm(t, probe, perm)
     fp = weight_vector(probe, f_prime, "probe dimension-vector")
 

@@ -36,7 +36,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = ["SearchResult", "run_search", "write_results",
 
 FULL_SEARCH_CAP = 8       # n! blow-up; larger n must sample permutations
 SAMPLED_SEARCH_CAP = 12
+INSTANCE_CAP = 1 << 30    # instances per kind array (1 GiB of uint8); full n = 9 fits
 KINDS = ("cover", "poset", "naive")
 CSV_COLUMNS = {"cover": "cover_bound", "poset": "poset_bound", "naive": "naive_max_bound"}
 
@@ -58,7 +59,9 @@ class SearchResult:
     """Per-instance bound values for all (shape, shape, perm) instances.
 
     data[kind] is a uint8 array of shape (shapes, shapes, perms), with the
-    permutation axis in the lexicographic order of `perms`.
+    permutation axis in the lexicographic order of `perms`.  The arrays
+    are never written after run_search, so each kind's aggregate and
+    digest are computed once and then served from `_memo`.
     """
 
     n: int
@@ -67,6 +70,7 @@ class SearchResult:
     sampled: bool
     kinds: tuple
     data: dict
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def instance_count(self) -> int:
@@ -77,6 +81,8 @@ class SearchResult:
 
     def aggregate(self, kind: str) -> dict:
         """Per-pair min/max/histogram over the permutation axis."""
+        if ("aggregate", kind) in self._memo:
+            return self._memo["aggregate", kind]
         arr = self.data[kind]
         mins, maxs = arr.min(axis=2), arr.max(axis=2)
         # counts[i, j, v] = #perms with value v, one row of pairs at a time
@@ -91,11 +97,14 @@ class SearchResult:
                                        counts.reshape(-1, counts.shape[2]).tolist()):
             out[(i, j)] = {"min": lo, "max": hi,
                            "histogram": {v: c for v, c in enumerate(row) if c}}
+        self._memo["aggregate", kind] = out
         return out
 
     def digest(self, kind: str) -> str:
-        # the C-order buffer is the per-pair arrays concatenated in (i, j) order
-        return hashlib.sha256(self.data[kind]).hexdigest()
+        if ("digest", kind) not in self._memo:
+            # the C-order buffer is the per-pair arrays concatenated in (i, j) order
+            self._memo["digest", kind] = hashlib.sha256(self.data[kind]).hexdigest()
+        return self._memo["digest", kind]
 
 
 def _leaf_bits(perms: np.ndarray) -> np.ndarray:
@@ -165,8 +174,16 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
     bad = [k for k in kinds if k not in KINDS]
     if bad:
         raise ValueError(f"unknown bound kinds {bad}; choose from {KINDS}")
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise ValueError(f"need distinct bound kinds from {KINDS}, got {list(kinds)}")
 
     shapes = enumerate_shapes(n)
+    perm_count = math.factorial(n)
+    if sample_perms is not None:
+        perm_count = min(int(sample_perms), perm_count)
+    if len(shapes) ** 2 * perm_count > INSTANCE_CAP:
+        raise ValueError(f"{len(shapes)}^2 shape pairs x {perm_count} permutations exceed "
+                         f"the {INSTANCE_CAP} instances a search can hold per kind")
     if sample_perms is None:
         perms = _lex_perms(n)
         sampled = False

@@ -1,13 +1,18 @@
 """Full binary plane trees: parsing, the two canonical families, shape
 enumeration, doad families, leaf heights, and poset queries.
 
-A tree is written as a balanced-parenthesis string where "." is a leaf
-and "(LR)" is an internal node with plane-ordered children L and R, so
+A tree is its balanced-parenthesis string, where "." is a leaf and
+"(LR)" is an internal node with plane-ordered children L and R, so
 "((..)(..))" is the perfect tree of depth 2 and "(((..).).)" the 4-leaf
-comb. Leaves are numbered 1..n from left to right, and every vertex
-carries the 0/1 path label of the left(0)/right(1) steps reaching it
-from the root (root label: "").  Leaf numbering agrees with
-lexicographic order of the path labels.
+comb.  The string is the only representation: a vertex id is the
+position of its character among the characters that are not ")", which
+is depth-first preorder, and one left-to-right scan of the string
+builds every structural array.  The scan stops with a ValueError at the
+LEAF_CAP leaf cap, so no input, however long or deeply nested, makes it
+build more than 2 * LEAF_CAP - 1 vertices.  Leaves are numbered 1..n
+from left to right, and every vertex carries the 0/1 path label of the
+left(0)/right(1) steps reaching it from the root (root label: "").  Leaf
+numbering agrees with lexicographic order of the path labels.
 
 Leaf subsets are plain int bitmasks with leaf k on bit k-1.  The doad
 family of a tree collects, for every vertex v, its descendant leaf set
@@ -58,38 +63,65 @@ LEAF_CAP = 32        # bitmask width
 # tree structure
 
 class Tree:
-    """Immutable full binary plane tree.
+    """Immutable full binary plane tree, built by one scan of its string.
 
-    Vertices are ints 0..2n-2 in depth-first preorder (root = 0), which
-    coincides with lexicographic order of the 0/1 path labels.  All
-    structural arrays are tuples; instances hash and compare by their
-    plane serialization.
+    Vertex v is the v-th character of `text` that is not ")": ids run
+    0..2n-2 in depth-first preorder (root = 0), which coincides with
+    lexicographic order of the 0/1 path labels, so children have larger
+    ids than their parents.  All structural arrays are tuples; instances
+    hash and compare by `text`.
     """
 
     __slots__ = ("n", "parent", "left", "right", "labels", "leaves",
                  "desc_masks", "text", "_leaf_no", "_by_label")
 
-    def __init__(self, nested):
-        parent, left, right, labels = [], [], [], []
-        leaves = []
-
-        def walk(node, par, label):
-            vid = len(parent)
+    def __init__(self, text: str):
+        parent, left, right, labels, leaves = [], [], [], [], []
+        stack = []               # open internal nodes as (vertex, position)
+        pos = 0
+        while True:
+            # a vertex starts at pos
+            if pos >= len(text):
+                raise ValueError("unbalanced tree string: unexpected end of input")
+            c = text[pos]
+            if c not in "(.":
+                raise ValueError(f"unexpected character {c!r} at position {pos}")
+            if c == "(" and text.startswith(")", pos + 1):
+                raise ValueError(f"node at position {pos} has no children")
+            v = len(parent)
+            if v == 2 * LEAF_CAP - 1:
+                raise _over_cap(text)
+            par = stack[-1][0] if stack else -1
             parent.append(par)
             left.append(-1)
             right.append(-1)
-            labels.append(label)
-            if node is None:
-                leaves.append(vid)
+            if par < 0:
+                labels.append("")
+            elif left[par] < 0:
+                left[par] = v
+                labels.append(labels[par] + "0")
             else:
-                a, b = node
-                left[vid] = walk(a, vid, label + "0")
-                right[vid] = walk(b, vid, label + "1")
-            return vid
+                right[par] = v
+                labels.append(labels[par] + "1")
+            pos += 1
+            if c == "(":
+                stack.append((v, pos - 1))
+                continue
+            leaves.append(v)
+            # a subtree ends at pos: close every node whose second child it completes
+            while stack and right[stack[-1][0]] >= 0:
+                if not text.startswith(")", pos):
+                    raise ValueError(f"node at position {stack[-1][1]} has more than two "
+                                     f"children or is unclosed")
+                stack.pop()
+                pos += 1
+            if not stack:
+                break
+            if text.startswith(")", pos):
+                raise ValueError(f"node at position {stack[-1][1]} has only one child")
+        if pos != len(text):
+            raise ValueError(f"trailing characters after position {pos}: {text[pos:]!r}")
 
-        walk(nested, -1, "")
-        if len(leaves) > LEAF_CAP:
-            raise ValueError(f"trees are limited to {LEAF_CAP} leaves, got {len(leaves)}")
         self.n = len(leaves)
         self.parent = tuple(parent)
         self.left = tuple(left)
@@ -106,7 +138,7 @@ class Tree:
             else:
                 masks[v] = masks[left[v]] | masks[right[v]]
         self.desc_masks = tuple(masks)
-        self.text = _render(nested)
+        self.text = text
 
     # -- basic queries ------------------------------------------------
 
@@ -155,7 +187,7 @@ class Tree:
 
     def mirror(self) -> "Tree":
         """The plane reflection: left/right swapped at every node."""
-        return Tree(_mirror_nested(self._nested()))
+        return Tree(self.text[::-1].translate(str.maketrans("()", ")(")))
 
     def shape_key(self) -> str:
         """Canonical string of the underlying unordered shape.
@@ -163,14 +195,11 @@ class Tree:
         At every node the two child strings are concatenated in
         lexicographic order; equal keys mean isomorphic shapes.
         """
-        return _shape_key_nested(self._nested())
-
-    def _nested(self):
-        def rec(v):
-            if self.is_leaf(v):
-                return None
-            return rec(self.left[v]), rec(self.right[v])
-        return rec(0)
+        key = ["."] * self.size
+        for v in reversed(self.internal):
+            a, b = key[self.left[v]], key[self.right[v]]
+            key[v] = "(" + a + b + ")" if a <= b else "(" + b + a + ")"
+        return key[0]
 
     # -- dunder -------------------------------------------------------
 
@@ -187,25 +216,12 @@ class Tree:
         return hash(self.text)
 
 
-def _render(node) -> str:
-    if node is None:
-        return "."
-    return "(" + _render(node[0]) + _render(node[1]) + ")"
-
-
-def _mirror_nested(node):
-    if node is None:
-        return None
-    return _mirror_nested(node[1]), _mirror_nested(node[0])
-
-
-def _shape_key_nested(node) -> str:
-    if node is None:
-        return "."
-    a = _shape_key_nested(node[0])
-    b = _shape_key_nested(node[1])
-    lo, hi = sorted((a, b))
-    return "(" + lo + hi + ")"
+def _over_cap(text: str) -> ValueError:
+    n = text.count(".")
+    if n > LEAF_CAP:
+        return ValueError(f"trees are limited to {LEAF_CAP} leaves, got {n}")
+    return ValueError(f"tree string has {text.count('(')} '(' but a tree on at most "
+                      f"{LEAF_CAP} leaves has at most {LEAF_CAP - 1} internal nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -214,36 +230,13 @@ def _shape_key_nested(node) -> str:
 def parse_tree(text: str) -> Tree:
     """Parse a balanced-parenthesis tree string into a Tree.
 
-    Raises ValueError on empty input, unbalanced parentheses, or nodes
-    with a child count other than two.
+    Raises ValueError on empty input, unbalanced parentheses, nodes with
+    a child count other than two, or more than LEAF_CAP leaves.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty tree string")
-    nested, pos = _parse_node(s, 0)
-    if pos != len(s):
-        raise ValueError(f"trailing characters after position {pos}: {s[pos:]!r}")
-    return Tree(nested)
-
-
-def _parse_node(s: str, i: int):
-    if i >= len(s):
-        raise ValueError("unbalanced tree string: unexpected end of input")
-    c = s[i]
-    if c == ".":
-        return None, i + 1
-    if c != "(":
-        raise ValueError(f"unexpected character {c!r} at position {i}")
-    if i + 1 < len(s) and s[i + 1] == ")":
-        raise ValueError(f"node at position {i} has no children")
-    a, j = _parse_node(s, i + 1)
-    if j < len(s) and s[j] == ")":
-        raise ValueError(f"node at position {i} has only one child")
-    b, j = _parse_node(s, j)
-    if j >= len(s) or s[j] != ")":
-        raise ValueError(f"node at position {i} has more than two children "
-                         f"or is unclosed")
-    return (a, b), j + 1
+    return Tree(s)
 
 
 def serialize_tree(t: Tree) -> str:
@@ -255,16 +248,12 @@ def build_ht(k: int) -> Tree:
     """Perfect binary tree of depth k (2**k leaves, all at depth k)."""
     if k < 1:
         raise ValueError(f"hierarchical tree needs depth >= 1, got {k}")
-    if 2 ** k > LEAF_CAP:
+    if k > LEAF_CAP.bit_length() - 1:
         raise ValueError(f"depth {k} exceeds the {LEAF_CAP}-leaf cap")
-
-    def rec(d):
-        if d == 0:
-            return None
-        sub = rec(d - 1)
-        return (sub, sub)
-
-    return Tree(rec(k))
+    text = "."
+    for _ in range(k):
+        text = "(" + text + text + ")"
+    return Tree(text)
 
 
 def build_tt(n: int) -> Tree:
@@ -278,10 +267,7 @@ def build_tt(n: int) -> Tree:
         raise ValueError(f"train track tree needs >= 2 leaves, got {n}")
     if n > LEAF_CAP:
         raise ValueError(f"{n} exceeds the {LEAF_CAP}-leaf cap")
-    node = (None, None)
-    for _ in range(n - 2):
-        node = (node, None)
-    return Tree(node)
+    return Tree("(" * (n - 1) + "." + ".)" * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +298,7 @@ def enumerate_shapes(n: int) -> list[Tree]:
     """
     if not 2 <= n <= SHAPE_ENUM_CAP:
         raise ValueError(f"shape enumeration supports 2..{SHAPE_ENUM_CAP} leaves, got {n}")
-    return [parse_tree(s) for s in _shape_strings(n)]
+    return [Tree(s) for s in _shape_strings(n)]
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +317,7 @@ def enumerate_plane_trees(n: int) -> list[Tree]:
     """All plane trees on n leaves (Catalan many), lexicographic order."""
     if not 2 <= n <= PLANE_ENUM_CAP:
         raise ValueError(f"plane enumeration supports 2..{PLANE_ENUM_CAP} leaves, got {n}")
-    return [parse_tree(s) for s in _plane_strings(n)]
+    return [Tree(s) for s in _plane_strings(n)]
 
 
 # ---------------------------------------------------------------------------

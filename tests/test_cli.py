@@ -1,11 +1,19 @@
 import json
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from tnexp.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_AS_LIMIT = 3 << 29       # 1.5 GiB address space for each child
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +136,34 @@ def test_verify_ranks_bad_input_exits_2(capsys):
                                  *extra)
         assert code == 2 and not out, extra
         assert err.startswith("error:") and err.count("\n") == 1, (extra, err)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_LIMIT, CHILD_AS_LIMIT))
+
+
+@pytest.mark.parametrize("argv", [
+    ("exponent", "(" * 1999 + "." + ".)" * 1999, "tt:4"),
+    ("exponent", "(" * 100000 + ".", "tt:4"),
+    ("exponent", "ht:10000000000", "tt:4"),
+    ("verify-ranks", "--tree", "tt:4", "--probe", "ht:2", "--trials", "1", "--exponent", "-1"),
+    ("verify-ranks", "--tree", "tt:4", "--probe", "ht:2", "--trials", "1",
+     "--exponent", "10000000000"),
+    ("search", "--n", "12", "--sample-perms", "1000000000"),
+    ("search", "--n", "10", "--sample-perms", "3000000"),
+    ("search", "--n", "4", "--kinds", "cover,cover"),
+    ("search", "--n", "4", "--kinds", ""),
+], ids=["comb2000", "deep-open", "ht-huge", "exponent-neg", "exponent-huge",
+        "sample-n12", "sample-n10", "kinds-repeated", "kinds-empty"])
+def test_oversized_input_exits_2_in_bounded_memory(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from tnexp.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_verify_ranks_transpose_mismatch_exits_1(capsys, monkeypatch):

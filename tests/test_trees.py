@@ -55,6 +55,59 @@ def test_parse_errors(bad):
         parse_tree(bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("(.)", "node at position 0 has only one child"),
+    ("(...)", "node at position 0 has more than two children or is unclosed"),
+    ("((..)", "unbalanced tree string: unexpected end of input"),
+    ("(..))", "trailing characters after position 4: ')'"),
+    ("(..)x", "trailing characters after position 4: 'x'"),
+    ("()", "node at position 0 has no children"),
+    ("..", "trailing characters after position 1: '.'"),
+    ("(,.)", "unexpected character ',' at position 1"),
+    (")", "unexpected character ')' at position 0"),
+    ("(..(..)", "node at position 0 has more than two children or is unclosed"),
+])
+def test_parse_error_messages(bad, message):
+    with pytest.raises(ValueError) as exc:
+        parse_tree(bad)
+    assert str(exc.value) == message
+
+
+def test_parse_stops_at_leaf_cap():
+    comb = "(" * 31 + "." + ".)" * 31
+    assert parse_tree(comb) == build_tt(32)
+    for n in (33, 2000):
+        with pytest.raises(ValueError) as exc:
+            parse_tree("(" * (n - 1) + "." + ".)" * (n - 1))
+        assert str(exc.value) == f"trees are limited to 32 leaves, got {n}"
+    with pytest.raises(ValueError) as exc:
+        parse_tree("(" * 100000 + ".")
+    assert "\n" not in str(exc.value) and "32 leaves" in str(exc.value)
+    for k in (6, 10 ** 10):
+        with pytest.raises(ValueError, match=f"depth {k} exceeds the 32-leaf cap"):
+            build_ht(k)
+
+
+def test_vertex_ids_are_string_positions():
+    for t in enumerate_plane_trees(6):
+        chars = [c for c in t.text if c != ")"]
+        assert len(chars) == t.size
+        assert all((c == ".") == t.is_leaf(v) for v, c in enumerate(chars))
+
+
+def test_mirror_and_shape_key():
+    shapes = {t.text for n in range(2, 8) for t in enumerate_shapes(n)}
+    for n in range(2, 8):
+        for t in enumerate_plane_trees(n):
+            m = t.mirror()
+            assert m.mirror() == t
+            assert [m.labels[v] for v in m.leaves] == [
+                t.labels[v].translate(str.maketrans("01", "10")) for v in reversed(t.leaves)]
+            assert t.shape_key() == m.shape_key() and t.shape_key() in shapes
+    for t in enumerate_shapes(7):
+        assert t.shape_key() == t.text
+
+
 def test_structure_invariants():
     for t in enumerate_plane_trees(6):
         assert t.size == 2 * t.n - 1
