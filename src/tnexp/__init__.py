@@ -11,7 +11,6 @@ verification on sampled network tensors.
 from .trees import (
     Tree,
     parse_tree,
-    serialize_tree,
     build_ht,
     build_tt,
     enumerate_shapes,
@@ -21,11 +20,6 @@ from .trees import (
     heights,
     Permutation,
     all_permutations,
-    up_set,
-    down_set,
-    lca,
-    maxima_count,
-    full_mask,
     mask_from_leaves,
     leaves_of_mask,
 )
@@ -64,11 +58,10 @@ from .ranks import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tree", "parse_tree", "serialize_tree", "build_ht", "build_tt",
+    "Tree", "parse_tree", "build_ht", "build_tt",
     "enumerate_shapes", "enumerate_plane_trees", "DoadFamily", "doad_family",
     "heights", "Permutation", "all_permutations",
-    "up_set", "down_set", "lca", "maxima_count",
-    "full_mask", "mask_from_leaves", "leaves_of_mask",
+    "mask_from_leaves", "leaves_of_mask",
     "CoverTable", "CoverCounter", "build_cover_table", "cover_exponent",
     "ExponentReport", "min_product_cover", "check_trivial_containment",
     "BoundValue", "trivial_bound", "poset_bound", "poset_min4", "poset_table",

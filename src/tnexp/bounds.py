@@ -5,25 +5,17 @@ are upper bounds for the exact cover number:
 
 * trivial: floor(n/2), from covering the smaller side of every split by
   singletons;
-* poset: per target doad set S, the cheapest of four explicit coverings
-  read off the ancestor/descendant poset of the covering tree -- the
-  maximal vertices whose descendant sets fit inside S (or its
-  complement), optionally after splitting off one anti-descendant set at
-  the lowest common ancestor of the other side.  By the structure of
-  minimal covers (covers module docstring) this minimum equals
-  min(n_S, n_{S^c}), so the poset bound equals the cover bound;
+* poset: per target doad set S, min(n_S, n_{S^c}), the cheaper exact
+  cover of S or its complement.  n_S is read from covers.CoverCounter,
+  which owns its closed form over the ancestor/descendant poset of the
+  covering tree and the proof that it is exact (covers module
+  docstring), so the poset bound equals the cover bound;
 * heights: a plane tree embeds into the same-width comb tree with
   exponent 1 + max_l min(h_l, h*_{l+1}), where h counts the 1s before
   the final 0 of a leaf's path label and h* dually;
 * plane-general: twice the height bound, valid against any plane tree of
   the same width, because the comb tree itself embeds anywhere with
   exponent 2 and exponents compose multiplicatively.
-
-Every count in the poset minimum is the size of a covering that can be
-written down (maximal vertices below the lca of the complementary
-side, plus one anti set); the tempting shortcut of intersecting with
-ancestor up-sets instead does not correspond to valid covers and can
-undercut the true cover number.
 """
 
 from __future__ import annotations
@@ -33,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .covers import CoverCounter
 from .trees import (
     Permutation,
     Tree,
@@ -41,8 +34,6 @@ from .trees import (
     heights,
     instance_perm,
     leaves_of_mask,
-    mask_lca,
-    maximal_desc_count,
 )
 
 __all__ = [
@@ -89,31 +80,24 @@ def trivial_bound(n: int) -> BoundValue:
 # poset bound
 
 def poset_min4(t: Tree, mask: int) -> int:
-    """Cheapest of the four poset coverings of `mask` or its complement.
+    """min(n_S, n_{S^c}) for a proper nonempty leaf subset S = `mask`.
 
-    The four counts: maximal vertices with descendants inside the
-    complement (covers it by descendant sets); same for `mask` itself;
-    and each of those restricted below the lca of the other side, plus
-    one anti-descendant set there.  The minimum equals
-    min(n_S, n_{S^c}) (module docstring).
+    Both counts come from covers.CoverCounter, whose closed form takes
+    the cheaper of two poset coverings per side, four in all.
     """
-    full = t.full_mask
-    comp = full ^ mask
+    comp = t.full_mask ^ mask
     if mask == 0 or comp == 0:
         raise ValueError("poset covering terms need a proper nonempty subset")
-    dm = t.desc_masks
-    return min(maximal_desc_count(t, comp),
-               maximal_desc_count(t, mask),
-               1 + maximal_desc_count(t, mask & dm[mask_lca(t, comp)]),
-               1 + maximal_desc_count(t, comp & dm[mask_lca(t, mask)]))
+    counter = CoverCounter(t)
+    return min(counter.count(mask), counter.count(comp))
 
 
 def poset_table(t: Tree) -> np.ndarray:
     """poset_min4 for every nontrivial leaf subset (0 at the trivial ones)."""
-    out = np.zeros(1 << t.n, dtype=np.uint8)
-    for mask in range(1, t.full_mask):
-        out[mask] = poset_min4(t, mask)
-    return out
+    count = CoverCounter(t).count
+    c = np.array([count(m) for m in range(1 << t.n)], dtype=np.uint8)
+    # full ^ m == full - m: the reversed table holds the complements' counts
+    return np.minimum(c, c[::-1])
 
 
 def poset_bound(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> BoundValue:

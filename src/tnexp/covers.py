@@ -26,10 +26,12 @@ sets of v, and D(X) for the number of maximal descendant sets inside X.
 Hence n_S = min(D(S), 1 + D(S & d(lca(S^c)))), with n_0 = 0 and
 n_full = 1; at the root the second term is 1 + D(S) and never wins.
 CoverCounter evaluates this one subset at a time from the tree alone,
-so cover_exponent answers for every tree up to LEAF_CAP leaves.  The
-layered BFS CoverTable over all 2^n subsets is the route of the
-exhaustive search (kind "cover") and the tests' oracle for the closed
-form; bounds.poset_min4 reads the same structure as min(n_S, n_{S^c}).
+so cover_exponent answers for every tree up to LEAF_CAP leaves.  This
+is the only code that evaluates the closed form: the poset bound
+(bounds.poset_min4, bounds.poset_table) reads min(n_S, n_{S^c}) from a
+CoverCounter.  The layered BFS CoverTable over all 2^n subsets is the
+route of the exhaustive search (kinds "cover" and "naive") and the
+tests' oracle for the closed form.
 
 The containment exponent certificate for a pair (T, T') under a leaf
 permutation is then: for every internal node w of T', cover either the
@@ -51,6 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .trees import (
+    LEAF_CAP,
     Permutation,
     Tree,
     doad_family,
@@ -164,7 +167,7 @@ def build_cover_table(t: Tree) -> CoverTable:
     if t.n > COVER_TABLE_CAP:
         raise ValueError(
             f"cover tables are capped at {COVER_TABLE_CAP} leaves (got {t.n}); "
-            "use the integer program for larger trees")
+            f"CoverCounter answers one subset at a time up to {LEAF_CAP} leaves")
     doads = np.array(doad_family(t).masks, dtype=np.int64)
     counts = np.full(1 << t.n, _UNSET, dtype=np.uint8)
     counts[0] = 0
@@ -252,10 +255,6 @@ class ExponentReport:
         return d
 
 
-def _node_label(t: Tree, v: int) -> str:
-    return t.labels[v] or "r"
-
-
 def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
                    table: Optional[CoverTable | CoverCounter] = None,
                    with_witnesses: bool = False) -> ExponentReport:
@@ -279,7 +278,7 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
         nd = table.count(d_set)
         na = table.count(a_set)
         chosen = "anti" if na < nd else "desc"
-        per_node.append(NodeCover(_node_label(t_prime, w), d_set, a_set, nd, na, chosen))
+        per_node.append(NodeCover(t_prime.node_label(w), d_set, a_set, nd, na, chosen))
         bound = max(bound, min(nd, na))
 
     naive = max(table.count(perm.pullback(m)) for m in doad_family(t_prime).masks)
@@ -290,7 +289,7 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
         for nc in per_node:
             side = nc.desc_set if nc.chosen == "desc" else nc.anti_set
             witnesses[nc.label] = tuple(
-                (_node_label(t, vid), kind, m) for vid, kind, m in table.witness(side))
+                (t.node_label(vid), kind, m) for vid, kind, m in table.witness(side))
 
     return ExponentReport(
         tree=t.text, tree_prime=t_prime.text, perm=perm.one_line(),
@@ -418,7 +417,7 @@ def check_trivial_containment(t: Tree, f, t_prime: Tree, f_prime,
         pa, wa = pc.query(a_set)
         product, side, wit = min((pd, "desc", wd), (pa, "anti", wa),
                                  key=lambda x: (x[0], x[1] != "desc"))
-        lab = _node_label(t_prime, v)
+        lab = t_prime.node_label(v)
         per_node.append((lab, side, product, fp[v], wit))
         sets_used = max(sets_used, len(wit))
         if product > fp[v]:

@@ -88,10 +88,6 @@ class IpSolution:
         }
 
 
-def _lab(t: Tree, v: int) -> str:
-    return t.labels[v] or "r"
-
-
 def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpModel:
     """Assemble the integer program for covering T' by doad sets of T."""
     perm = instance_perm(t, t_prime, perm)
@@ -109,7 +105,7 @@ def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpMo
     card_rows_o: list[IpRow] = []
 
     for w in nodes:
-        wl = _lab(t_prime, w)
+        wl = t_prime.node_label(w)
         d_target = perm.pullback(t_prime.desc_masks[w])
         targets = {"desc": d_target, "anti": full ^ d_target}
         sides = {}
@@ -119,7 +115,7 @@ def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpMo
             target = targets[side]
             cands = []
             for v in range(t.size):
-                vl = _lab(t, v)
+                vl = t.node_label(v)
                 for prefix, set_mask in ((prefix_x, t.desc_masks[v]),
                                          (prefix_y, t.anti_mask(v))):
                     if not set_mask:

@@ -223,7 +223,7 @@ def sample_tensor(spec: NetworkSpec, seed: int) -> SampledTensor:
         held = amb if v == t.root else space
         if k * held > BASIS_CAP:
             raise ValueError(
-                f"a {k} x {held} matrix at vertex {t.labels[v] or 'r'} exceeds "
+                f"a {k} x {held} matrix at vertex {t.node_label(v)} exceeds "
                 f"the cap of {BASIS_CAP} entries")
         coeff, extra = _random_full_rank(rng, k, amb)
         resamples += extra
@@ -335,7 +335,7 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
         limit = spec.r ** exponent * fp[v]
         good = rank <= limit
         all_ok = all_ok and good
-        entries.append((probe.labels[v] or "r", leaves_of_mask(mask), rank, limit, good))
+        entries.append((probe.node_label(v), leaves_of_mask(mask), rank, limit, good))
     return FlatteningProfile(tree=t.text, probe=probe.text, perm=perm.one_line(),
                              seed=tensor.seed, exponent=exponent,
                              entries=tuple(entries), ok=all_ok)
@@ -378,7 +378,7 @@ def empirical_exponent(spec: NetworkSpec, probe: Tree,
     if perm is None:
         perm = Permutation.identity(spec.tree.n)
     fp = weight_vector(probe, f_prime, "probe dimension-vector")
-    f_of = {probe.labels[v] or "r": fp[v] for v in range(probe.size)}
+    f_of = {probe.node_label(v): fp[v] for v in range(probe.size)}
     seeds = trial_seeds(seed, trials)
     per_node: dict[str, int] = {}
     per_node_rank: dict[str, int] = {}

@@ -130,6 +130,15 @@ def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
     return out
 
 
+def _node_masks(t) -> list:
+    """Descendant sets of the non-root internal vertices (one for n >= 4)."""
+    return [t.desc_masks[w] for w in t.internal if w != t.root]
+
+
+def _doad_masks(t) -> tuple:
+    return doad_family(t).masks
+
+
 def _lex_perms(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
 
@@ -192,29 +201,26 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
         sampled = True
     leaf_bits = _leaf_bits(perms)
 
-    cover_tables = [build_cover_table(t).counts for t in shapes]
-    min_side = [np.minimum(c, c[::-1]) for c in cover_tables]
-    poset_tables = [poset_table(t) for t in shapes] if "poset" in kinds else None
+    counts = ([build_cover_table(t).counts for t in shapes]
+              if "cover" in kinds or "naive" in kinds else None)
+    # kind -> (per-shape tables, target shape -> masks whose pullbacks it reads)
+    plans = {"cover": lambda: ([np.minimum(c, c[::-1]) for c in counts], _node_masks),
+             "poset": lambda: ([poset_table(t) for t in shapes], _node_masks),
+             "naive": lambda: (counts, _doad_masks)}
+    plan = {k: plans[k]() for k in kinds}
 
     data = {k: np.empty((len(shapes), len(shapes), len(perms)), dtype=np.uint8)
             for k in kinds}
     for j, target in enumerate(shapes):
-        # n >= 4 leaves: every shape has a non-root internal vertex
-        cols = _pullback_columns(leaf_bits, [target.desc_masks[w] for w in target.internal
-                                             if w != target.root])
-        doad_cols = (_pullback_columns(leaf_bits, doad_family(target).masks)
-                     if "naive" in kinds else None)
-        for i in range(len(shapes)):
-            if "cover" in kinds:
-                out = data["cover"][i, j]
-                np.max(min_side[i][cols], axis=0, out=out)
+        cols = {}
+        for k, (tables, masks_of) in plan.items():
+            if masks_of not in cols:
+                cols[masks_of] = _pullback_columns(leaf_bits, masks_of(target))
+            for i, table in enumerate(tables):
+                # every value is at least 1: a leaf of T' needs one singleton
+                out = data[k][i, j]
+                np.max(table[cols[masks_of]], axis=0, out=out)
                 np.maximum(out, 1, out=out)
-            if "poset" in kinds:
-                out = data["poset"][i, j]
-                np.max(poset_tables[i][cols], axis=0, out=out)
-                np.maximum(out, 1, out=out)
-            if "naive" in kinds:
-                np.max(cover_tables[i][doad_cols], axis=0, out=data["naive"][i, j])
 
     return SearchResult(n=n, shapes=tuple(t.text for t in shapes),
                         perms=_perm_strings(perms), sampled=sampled,

@@ -1,5 +1,5 @@
 """Full binary plane trees: parsing, the two canonical families, shape
-enumeration, doad families, leaf heights, and poset queries.
+enumeration, doad families, leaf heights, and leaf-mask queries.
 
 A tree is its balanced-parenthesis string, where "." is a leaf and
 "(LR)" is an internal node with plane-ordered children L and R, so
@@ -29,7 +29,6 @@ from functools import lru_cache
 __all__ = [
     "Tree",
     "parse_tree",
-    "serialize_tree",
     "build_ht",
     "build_tt",
     "enumerate_shapes",
@@ -42,14 +41,9 @@ __all__ = [
     "Permutation",
     "all_permutations",
     "instance_perm",
-    "up_set",
-    "down_set",
-    "lca",
-    "maxima_count",
     "mask_lca",
     "maximal_desc_count",
     "weight_vector",
-    "full_mask",
     "mask_from_leaves",
     "leaves_of_mask",
 ]
@@ -73,7 +67,7 @@ class Tree:
     """
 
     __slots__ = ("n", "parent", "left", "right", "labels", "leaves",
-                 "desc_masks", "text", "_leaf_no", "_by_label")
+                 "desc_masks", "text", "_leaf_no")
 
     def __init__(self, text: str):
         parent, left, right, labels, leaves = [], [], [], [], []
@@ -120,7 +114,10 @@ class Tree:
             if text.startswith(")", pos):
                 raise ValueError(f"node at position {stack[-1][1]} has only one child")
         if pos != len(text):
-            raise ValueError(f"trailing characters after position {pos}: {text[pos:]!r}")
+            tail = text[pos:]   # echoed whole only when short: the input may be huge
+            shown = (repr(tail) if len(tail) <= 20
+                     else f"{tail[:20]!r}... ({len(tail)} characters)")
+            raise ValueError(f"trailing characters after position {pos}: {shown}")
 
         self.n = len(leaves)
         self.parent = tuple(parent)
@@ -129,7 +126,6 @@ class Tree:
         self.labels = tuple(labels)
         self.leaves = tuple(leaves)
         self._leaf_no = {v: i + 1 for i, v in enumerate(leaves)}
-        self._by_label = {lab: v for v, lab in enumerate(labels)}
 
         masks = [0] * len(parent)
         for v in range(len(parent) - 1, -1, -1):
@@ -165,11 +161,9 @@ class Tree:
         """1-based leaf number of a leaf vertex, 0 for internal vertices."""
         return self._leaf_no.get(v, 0)
 
-    def vertex_by_label(self, label: str) -> int:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise ValueError(f"no vertex with path label {label!r}") from None
+    def node_label(self, v: int) -> str:
+        """Path label of vertex v as reports print it, "r" for the root."""
+        return self.labels[v] or "r"
 
     @property
     def internal(self) -> tuple[int, ...]:
@@ -177,11 +171,6 @@ class Tree:
 
     def anti_mask(self, v: int) -> int:
         return self.full_mask ^ self.desc_masks[v]
-
-    def children(self, v: int) -> tuple[int, int]:
-        if self.is_leaf(v):
-            raise ValueError(f"vertex {v} is a leaf")
-        return self.left[v], self.right[v]
 
     # -- derived trees ------------------------------------------------
 
@@ -237,11 +226,6 @@ def parse_tree(text: str) -> Tree:
     if not s:
         raise ValueError("empty tree string")
     return Tree(s)
-
-
-def serialize_tree(t: Tree) -> str:
-    """Plane serialization; inverse of parse_tree on canonical strings."""
-    return t.text
 
 
 def build_ht(k: int) -> Tree:
@@ -381,51 +365,7 @@ def heights(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# poset queries (order = descendant relation; ancestors are larger)
-
-def _is_ancestor(t: Tree, a: int, v: int) -> bool:
-    return t.labels[v].startswith(t.labels[a])
-
-
-def up_set(t: Tree, vs) -> frozenset:
-    """All vertices that are an ancestor of (or equal to) some v in vs."""
-    out = set()
-    for v in vs:
-        while v >= 0 and v not in out:
-            out.add(v)
-            v = t.parent[v]
-    return frozenset(out)
-
-
-def down_set(t: Tree, vs) -> frozenset:
-    """All vertices that are a descendant of (or equal to) some v in vs."""
-    vset = set(vs)
-    return frozenset(u for u in range(t.size)
-                     if any(_is_ancestor(t, v, u) for v in vset))
-
-
-def lca(t: Tree, vs) -> int:
-    """Lowest common ancestor of a nonempty set of vertices."""
-    vs = list(vs)
-    if not vs:
-        raise ValueError("lca of an empty vertex set")
-    labels = [t.labels[v] for v in vs]
-    lo, hi = min(labels), max(labels)
-    i = 0
-    while i < len(lo) and lo[i] == hi[i]:
-        i += 1
-    return t.vertex_by_label(lo[:i])
-
-
-def maxima_count(t: Tree, vs) -> int:
-    """Number of maximal elements (no strict ancestor inside vs)."""
-    labset = {t.labels[v] for v in vs}
-    count = 0
-    for lab in labset:
-        if not any(lab[:k] in labset for k in range(len(lab))):
-            count += 1
-    return count
-
+# leaf-mask queries (the building blocks of covers.CoverCounter)
 
 def mask_lca(t: Tree, mask: int) -> int:
     """Deepest vertex whose descendant set contains the nonempty leaf mask."""
@@ -464,7 +404,7 @@ def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:
     if isinstance(f, int):
         vec = (f,) * t.size
     elif isinstance(f, dict):
-        vec = tuple(int(f.get(t.labels[v], f.get(t.labels[v] or "r", 1)))
+        vec = tuple(int(f.get(t.labels[v], f.get(t.node_label(v), 1)))
                     for v in range(t.size))
     else:
         vec = tuple(int(x) for x in f)
@@ -571,10 +511,6 @@ def all_permutations(n: int):
 
 # ---------------------------------------------------------------------------
 # bitmask helpers
-
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
-
 
 def mask_from_leaves(leaves) -> int:
     out = 0

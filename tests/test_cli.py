@@ -153,8 +153,9 @@ def _cap_address_space():
     ("search", "--n", "10", "--sample-perms", "3000000"),
     ("search", "--n", "4", "--kinds", "cover,cover"),
     ("search", "--n", "4", "--kinds", ""),
+    ("exponent", "(..)" + "x" * 100000, "tt:2"),
 ], ids=["comb2000", "deep-open", "ht-huge", "exponent-neg", "exponent-huge",
-        "sample-n12", "sample-n10", "kinds-repeated", "kinds-empty"])
+        "sample-n12", "sample-n10", "kinds-repeated", "kinds-empty", "long-tail"])
 def test_oversized_input_exits_2_in_bounded_memory(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
@@ -164,6 +165,7 @@ def test_oversized_input_exits_2_in_bounded_memory(argv):
         capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=60)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert len(proc.stderr.encode()) < 200, proc.stderr[:300]
 
 
 def test_verify_ranks_transpose_mismatch_exits_1(capsys, monkeypatch):

@@ -260,8 +260,8 @@ def test_product_single_doad_uses_cheapest_witness():
     # {3,4} is both the descendant set of one node and the anti set of
     # another; with singletons priced out, the cheap anti witness wins
     f = [2] * t.size
-    f[t.vertex_by_label("1")] = 5
-    f[t.vertex_by_label("0")] = 3
+    f[t.labels.index("1")] = 5
+    f[t.labels.index("0")] = 3
     product, wit = min_product_cover(t, f, mask_from_leaves([3, 4]))
     assert product == 3
     assert len(wit) == 1
@@ -346,7 +346,7 @@ def test_trivial_containment_violation_reports_node():
     t, t2 = build_ht(2), build_tt(4)
     f2 = [2] * t2.size
     # the node with descendant set {1,2,3} needs product 2 on its best side
-    f2[t2.vertex_by_label("00")] = 1
+    f2[t2.labels.index("00")] = 1
     rep = check_trivial_containment(t, 2, t2, f2)
     assert not rep.ok
     assert "00" in rep.violations

@@ -11,6 +11,7 @@ from tnexp.trees import (
     build_ht,
     build_tt,
     enumerate_shapes,
+    mask_lca,
     parse_tree,
 )
 
@@ -142,11 +143,6 @@ def _label_maxima(t, vids):
             if not any(lab[:k] in labset for k in range(len(lab)))]
 
 
-def _leaf_lca(t, mask):
-    from tnexp.trees import lca, leaves_of_mask
-    return lca(t, [t.leaf_vertex(l) for l in leaves_of_mask(mask)])
-
-
 def _poset_assignment(t, t2, perm, model, c_value):
     """Translate the four-way poset coverings into an IP assignment."""
     assignment = {v: 0 for v in model.variables}
@@ -160,7 +156,7 @@ def _poset_assignment(t, t2, perm, model, c_value):
             continue
         in_s = [v for v in range(t.size) if not t.desc_masks[v] & comp]
         in_c = [v for v in range(t.size) if not t.desc_masks[v] & side_mask]
-        lca_c, lca_s = _leaf_lca(t, comp), _leaf_lca(t, side_mask)
+        lca_c, lca_s = mask_lca(t, comp), mask_lca(t, side_mask)
         below_c = [v for v in in_s if t.labels[v].startswith(t.labels[lca_c])]
         below_s = [v for v in in_c if t.labels[v].startswith(t.labels[lca_s])]
         m_s, m_c = _label_maxima(t, in_s), _label_maxima(t, in_c)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tnexp.covers import build_cover_table, cover_exponent
+from tnexp import search
 from tnexp.bounds import poset_bound
 from tnexp.search import (
     _leaf_bits,
@@ -82,8 +83,18 @@ ALL_KINDS = ("cover", "poset", "naive")
     (9, 2000, 3,
      "60bdde596b743f31092b1f70a5876600525cf10099c0e692bf8527750c88c070",
      "1454553ec9162fee3908bf90c30cf836d7e3b95f47e704e2ba3ac4c9002c3213"),
+    # no naive digest: the poset kind alone, which must build no cover table
+    (7, None, 0,
+     "4da38153853af5f31e8b7b5c9fda0d05e065a562d98ee1fbbad8cea6fd79d3bc", None),
 ])
-def test_search_digests_pinned(n, sample, seed, cover, naive):
+def test_search_digests_pinned(n, sample, seed, cover, naive, monkeypatch):
+    if naive is None:
+        def no_cover_table(t):
+            raise AssertionError("a poset-only search built a cover table")
+        monkeypatch.setattr(search, "build_cover_table", no_cover_table)
+        res = run_search(n, kinds=("poset",), sample_perms=sample, seed=seed)
+        assert res.digest("poset") == cover
+        return
     res = run_search(n, kinds=ALL_KINDS, sample_perms=sample, seed=seed)
     assert res.digest("cover") == cover
     assert res.digest("poset") == cover

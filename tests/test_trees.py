@@ -9,22 +9,16 @@ from tnexp.trees import (
     build_ht,
     build_tt,
     doad_family,
-    down_set,
     enumerate_plane_trees,
     enumerate_shapes,
-    full_mask,
     heights,
     label_dual_height,
     label_height,
-    lca,
     leaves_of_mask,
     mask_from_leaves,
     mask_lca,
-    maxima_count,
     maximal_desc_count,
     parse_tree,
-    serialize_tree,
-    up_set,
 )
 
 
@@ -34,7 +28,7 @@ from tnexp.trees import (
 def test_parse_two_leaf():
     t = parse_tree("(..)")
     assert t.n == 2 and t.size == 3
-    assert serialize_tree(t) == "(..)"
+    assert t.text == str(t) == "(..)"
 
 
 def test_parse_named_trees():
@@ -45,7 +39,7 @@ def test_parse_named_trees():
 @pytest.mark.parametrize("text", ["(..)", "((..)(..))", "(((..).).)",
                                   "((.(..))(.(..)))", "(.((..)(..)))"])
 def test_round_trip(text):
-    assert serialize_tree(parse_tree(text)) == text
+    assert parse_tree(text).text == text
 
 
 @pytest.mark.parametrize("bad", ["", "  ", "(.)", "(...)", "((..)", "(..))",
@@ -66,6 +60,8 @@ def test_parse_errors(bad):
     ("(,.)", "unexpected character ',' at position 1"),
     (")", "unexpected character ')' at position 0"),
     ("(..(..)", "node at position 0 has more than two children or is unclosed"),
+    ("(..)" + "x" * 21, "trailing characters after position 4: "
+                        "'xxxxxxxxxxxxxxxxxxxx'... (21 characters)"),
 ])
 def test_parse_error_messages(bad, message):
     with pytest.raises(ValueError) as exc:
@@ -283,29 +279,32 @@ def test_mirror_swaps_heights():
 
 def test_lca_examples():
     t = build_ht(2)
-    v1 = t.vertex_by_label("0")
-    assert lca(t, [t.leaf_vertex(1), t.leaf_vertex(2)]) == v1
-    assert lca(t, list(t.leaves)) == t.root
-    assert lca(t, [t.leaf_vertex(3)]) == t.leaf_vertex(3)
-    with pytest.raises(ValueError):
-        lca(t, [])
-
-
-def test_up_down_sets():
-    t = build_ht(2)
-    leaf1 = t.leaf_vertex(1)
-    ups = up_set(t, [leaf1])
-    assert ups == {leaf1, t.parent[leaf1], t.root}
-    downs = down_set(t, [t.vertex_by_label("1")])
-    assert downs == {t.vertex_by_label("1"), t.leaf_vertex(3), t.leaf_vertex(4)}
+    assert mask_lca(t, 0b0011) == t.labels.index("0")
+    assert mask_lca(t, t.full_mask) == t.root
+    assert mask_lca(t, 0b0100) == t.leaf_vertex(3)
 
 
 def test_maxima_example():
-    # vertices not above leaf 1: the sibling leaf and the whole right subtree
+    # leaves other than leaf 1: the sibling leaf and the whole right subtree
     t = build_ht(2)
-    rest = set(range(t.size)) - up_set(t, [t.leaf_vertex(1)])
-    assert maxima_count(t, rest) == 2
-    assert maxima_count(t, range(t.size)) == 1
+    assert maximal_desc_count(t, 0b1110) == 2
+    assert maximal_desc_count(t, t.full_mask) == 1
+
+
+def _lca(t, vs):
+    """Lowest common ancestor of vertices: the longest common label prefix."""
+    labels = [t.labels[v] for v in vs]
+    lo, hi = min(labels), max(labels)
+    i = 0
+    while i < len(lo) and lo[i] == hi[i]:
+        i += 1
+    return t.labels.index(lo[:i])
+
+
+def _maxima_count(t, vs):
+    """Number of vertices in vs with no strict ancestor (label prefix) in vs."""
+    labset = {t.labels[v] for v in vs}
+    return sum(1 for lab in labset if not any(lab[:k] in labset for k in range(len(lab))))
 
 
 def test_mask_queries_match_vertex_queries():
@@ -314,9 +313,9 @@ def test_mask_queries_match_vertex_queries():
             dm = t.desc_masks
             for mask in range(1, t.full_mask + 1):
                 leaves = [t.leaf_vertex(l) for l in leaves_of_mask(mask)]
-                assert mask_lca(t, mask) == lca(t, leaves)
+                assert mask_lca(t, mask) == _lca(t, leaves)
                 inside = [v for v in range(t.size) if not dm[v] & ~mask]
-                assert maximal_desc_count(t, mask) == maxima_count(t, inside)
+                assert maximal_desc_count(t, mask) == _maxima_count(t, inside)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +356,7 @@ def test_all_permutations_lex():
 
 
 def test_mask_helpers():
-    assert full_mask(4) == 0b1111
+    assert build_tt(4).full_mask == 0b1111
     assert mask_from_leaves([1, 3]) == 0b101
     assert leaves_of_mask(0b101) == (1, 3)
     assert leaves_of_mask(0) == ()
