@@ -12,6 +12,7 @@ one-line "error: ..." message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -217,6 +218,9 @@ def _cmd_check_reference(args) -> int:
     if args.adapter:
         with open(args.adapter) as fh:
             adapter = json.load(fh)
+        if not (isinstance(adapter, dict)
+                and all(isinstance(x, str) for item in adapter.items() for x in item)):
+            raise ValueError(f"{args.adapter}: adapter must be a JSON object of column names")
     diff = search.verify_against_reference(args.ours, args.reference, adapter=adapter)
     payload = diff.to_dict()
 
@@ -233,6 +237,7 @@ def _cmd_check_reference(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tnexp",

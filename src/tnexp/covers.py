@@ -47,7 +47,7 @@ one valid for every scaling factor r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -223,7 +223,6 @@ class ExponentReport:
     per_node: tuple
     naive_max: int
     witnesses: Optional[dict] = None
-    extra_bounds: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d = {
@@ -250,8 +249,6 @@ class ExponentReport:
                       for (v_lab, kind, m) in ws]
                 for lab, ws in self.witnesses.items()
             }
-        if self.extra_bounds:
-            d["extra_bounds"] = dict(self.extra_bounds)
         return d
 
 

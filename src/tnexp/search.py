@@ -27,6 +27,11 @@ instance (at n = 8 that is 21.3M rows, around 2 GB -- request it
 deliberately); the JSON summary carries the shape list, per-pair
 aggregates, and a sha256 digest of the raw per-instance array, which pins
 the full result down byte-exactly at a few KB.
+
+check-reference compares two such CSVs in one merge pass, holding one row
+per file.  Both must list rows in the writer's key order: n, shape_a,
+shape_b, then the permutation as integers (so "1-2-..." precedes
+"1-10-..." at n >= 10).
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ FULL_SEARCH_CAP = 8       # n! blow-up; larger n must sample permutations
 SAMPLED_SEARCH_CAP = 12
 INSTANCE_CAP = 1 << 30    # instances per kind array (1 GiB of uint8); full n = 9 fits
 KINDS = ("cover", "poset", "naive")
+KEY_COLUMNS = ("n", "shape_a", "shape_b", "perm_oneline")
 CSV_COLUMNS = {"cover": "cover_bound", "poset": "poset_bound", "naive": "naive_max_bound"}
 
 
@@ -147,16 +153,23 @@ def _sample_perms(n: int, count: int, seed: int) -> np.ndarray:
     """Distinct random permutations, returned in lexicographic order.
 
     Falls back to the complete lexicographic set when `count` reaches n!.
+    Above n!/2 it draws the n! - count permutations to leave out instead,
+    so rejection sampling never pays the coupon-collector tail near n!.
     """
     if count < 1:
         raise ValueError(f"need at least one sampled permutation, got {count}")
-    if count >= math.factorial(n):
+    total = math.factorial(n)
+    if count >= total:
         return _lex_perms(n)
     rng = np.random.default_rng(seed)
+    draws = count if 2 * count <= total else total - count
     seen = set()
-    while len(seen) < count:
+    while len(seen) < draws:
         seen.add(tuple(int(x) + 1 for x in rng.permutation(n)))
-    return np.array(sorted(seen), dtype=np.int8)
+    if draws == count:
+        return np.array(sorted(seen), dtype=np.int8)
+    return np.array([p for p in itertools.permutations(range(1, n + 1)) if p not in seen],
+                    dtype=np.int8)
 
 
 def _perm_strings(perms: np.ndarray) -> tuple:
@@ -242,8 +255,7 @@ def write_results(result: SearchResult, format: str, path) -> None:
 
 def _write_csv(result: SearchResult, path) -> None:
     # streamed one shape pair at a time: the full n=8 table is ~2 GB
-    cols = ["n", "shape_a", "shape_b", "perm_oneline"]
-    cols += [CSV_COLUMNS[k] for k in result.kinds]
+    cols = list(KEY_COLUMNS) + [CSV_COLUMNS[k] for k in result.kinds]
     n_str = str(result.n)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(cols) + "\n")
@@ -296,55 +308,55 @@ class DiffReport:
         return not (self.mismatches or self.missing_in_reference or self.missing_in_ours)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "compared": self.compared,
-            "mismatches": [list(m) for m in self.mismatches],
-            "missing_in_reference": [list(k) for k in self.missing_in_reference],
-            "missing_in_ours": [list(k) for k in self.missing_in_ours],
-        }
+        return {"ok": self.ok, "compared": self.compared,
+                "mismatches": [list(m) for m in self.mismatches],
+                "missing_in_reference": [list(k) for k in self.missing_in_reference],
+                "missing_in_ours": [list(k) for k in self.missing_in_ours]}
 
 
-def _read_instances(path, column_map=None) -> dict:
-    column_map = column_map or {}
-    key_cols = ["n", "shape_a", "shape_b", "perm_oneline"]
+def _rows(path, column_map):
+    """Yield (order, key, bounds) per CSV row; order must strictly increase."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty or unreadable CSV")
-        rename = {column_map.get(c, c): c for c in key_cols + list(CSV_COLUMNS.values())}
-        rows = {}
-        for lineno, raw in enumerate(reader, start=2):
-            row = {rename[k]: v for k, v in raw.items() if k in rename}
-            try:
-                key = tuple(row[c] for c in key_cols)
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing column {exc}") from None
-            values = {c: int(row[c]) for c in CSV_COLUMNS.values() if c in row}
-            if not values:
-                raise ValueError(f"{path}:{lineno}: no bound columns found")
-            rows[key] = values
-    return rows
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            ours = {column_map.get(c, c): c for c in KEY_COLUMNS + tuple(CSV_COLUMNS.values())}
+            col = {ours[h]: i for i, h in enumerate(header) if h in ours}
+            bounds = [(c, col[c]) for c in CSV_COLUMNS.values() if c in col]
+            if not bounds or any(c not in col for c in KEY_COLUMNS):
+                raise ValueError(f"header needs {', '.join(KEY_COLUMNS)} and a bound column")
+            last = ()
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                n, a, b, perm = (row[col[c]] for c in KEY_COLUMNS)
+                order = (int(n), a, b, tuple(map(int, perm.split("-") if "-" in perm else perm)))
+                if order <= last:
+                    raise ValueError("key repeated or out of the search's order")
+                last = order
+                yield order, (n, a, b, perm), {c: int(row[i]) for c, i in bounds}
+        except (csv.Error, ValueError) as exc:   # echo at most 80 characters of the input
+            raise ValueError(f"{path}:{reader.line_num or 1}: {str(exc)[:80]}") from None
 
 
 def verify_against_reference(ours_path, reference_path, adapter=None) -> DiffReport:
-    """Compare two per-instance CSVs row by row.
+    """Diff two per-instance CSVs, each in the writer's key order, in one merge pass.
 
-    `adapter` maps our column names to the reference file's column names
-    (e.g. {"cover_bound": "exponent"}); unmapped columns must match by
-    name.  Only bound columns present in both files are compared.
+    Only bound columns present in both files are compared.  `adapter` maps our
+    column names to the reference's, e.g. {"cover_bound": "exponent"}.
     """
-    ours = _read_instances(ours_path)
-    theirs = _read_instances(reference_path, column_map=adapter)
-    mismatches = []
-    compared = 0
-    for key in sorted(set(ours) & set(theirs)):
-        shared = set(ours[key]) & set(theirs[key])
-        for col in sorted(shared):
-            compared += 1
-            if ours[key][col] != theirs[key][col]:
-                mismatches.append((key, col, ours[key][col], theirs[key][col]))
-    missing_ref = tuple(sorted(set(ours) - set(theirs)))
-    missing_ours = tuple(sorted(set(theirs) - set(ours)))
-    return DiffReport(compared=compared, mismatches=tuple(mismatches),
-                      missing_in_reference=missing_ref, missing_in_ours=missing_ours)
+    ours, theirs = _rows(ours_path, {}), _rows(reference_path, adapter or {})
+    end = ((math.inf,), None, None)
+    a, b = next(ours, end), next(theirs, end)
+    mismatches, only_ours, only_theirs, compared = [], [], [], 0
+    while a is not b:   # until both files reach `end`
+        if a[0] < b[0]:
+            only_ours.append(a[1])
+        elif b[0] < a[0]:
+            only_theirs.append(b[1])
+        else:
+            shared = sorted(a[2].keys() & b[2].keys())
+            compared += len(shared)
+            mismatches += [(a[1], c, a[2][c], b[2][c]) for c in shared if a[2][c] != b[2][c]]
+        a, b = next(ours, end) if a[0] <= b[0] else a, next(theirs, end) if b[0] <= a[0] else b
+    return DiffReport(compared, *(tuple(sorted(x)) for x in (mismatches, only_ours, only_theirs)))

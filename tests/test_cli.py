@@ -118,6 +118,35 @@ def test_check_reference(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize("edit", ["swapped", "repeated", "short", "non-integer",
+                                  "list-adapter", "non-string-adapter"])
+def test_check_reference_bad_input_exits_2(capsys, tmp_path, edit):
+    ours = tmp_path / "ours.csv"
+    run_json(capsys, "search", "--n", "4", "--csv", str(ours))
+    lines = ours.read_text().splitlines()
+    if edit == "swapped":
+        lines[3], lines[4] = lines[4], lines[3]
+    elif edit == "repeated":
+        lines.insert(4, lines[3])
+    elif edit == "short":
+        lines[3] = lines[3].rsplit(",", 1)[0]
+    elif edit == "non-integer":
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",two"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = ["check-reference", str(ours), str(bad)]
+    if edit.endswith("adapter"):
+        adapter = tmp_path / "adapter.json"
+        adapter.write_text('["cover_bound"]' if edit == "list-adapter" else '{"cover_bound": 1}')
+        argv += ["--adapter", str(adapter)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert len(err.encode()) < 200, err
+    if not edit.endswith("adapter"):
+        assert err.startswith(f"error: {bad}:") and err.split(":")[2].isdigit(), err
+
+
 def test_error_paths(capsys):
     code, _, err = run_cli(capsys, "exponent", "((..)", "tt:4")
     assert code == 2 and err.startswith("error:")
@@ -138,8 +167,15 @@ def test_verify_ranks_bad_input_exits_2(capsys):
         assert err.startswith("error:") and err.count("\n") == 1, (extra, err)
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_LIMIT, CHILD_AS_LIMIT))
+def run_capped(*argv, limit=CHILD_AS_LIMIT, timeout=60):
+    """Run the CLI in a child process whose address space is capped at `limit` bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from tnexp.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -157,15 +193,21 @@ def _cap_address_space():
 ], ids=["comb2000", "deep-open", "ht-huge", "exponent-neg", "exponent-huge",
         "sample-n12", "sample-n10", "kinds-repeated", "kinds-empty", "long-tail"])
 def test_oversized_input_exits_2_in_bounded_memory(argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from tnexp.cli import main; sys.exit(main())",
-         *argv],
-        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=60)
+    proc = run_capped(*argv)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert len(proc.stderr.encode()) < 200, proc.stderr[:300]
+
+
+def test_check_reference_n7_in_bounded_memory(tmp_path):
+    # both files are streamed: the 609,840-row CSV fits in a 256 MiB address space
+    from tnexp.search import run_search, write_results
+    path = tmp_path / "n7.csv"
+    write_results(run_search(7), "csv", path)
+    proc = run_capped("check-reference", str(path), str(path), limit=256 << 20, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    payload = json.loads(proc.stdout)
+    assert payload["ok"] is True and payload["compared"] == 609840
 
 
 def test_verify_ranks_transpose_mismatch_exits_1(capsys, monkeypatch):

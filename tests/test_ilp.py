@@ -263,20 +263,25 @@ def _parse_lp(text):
     return rows, binaries
 
 
-def _solve_lp_with_external_solver(text):
-    cp = pytest.importorskip("cvxpy")
-    if "GLPK_MI" not in cp.installed_solvers():
-        pytest.skip("no external MILP solver available")
+def _solve_lp_text(text):
+    """Optimum of the exported LP text, solved by scipy's HiGHS MILP."""
+    optimize = pytest.importorskip("scipy.optimize")
     rows, binaries = _parse_lp(text)
-    variables = {name: cp.Variable(boolean=True, name=name) for name in binaries}
-    variables["c"] = cp.Variable(name="c")
-    constraints = []
-    for _, terms, sense, rhs in rows:
-        expr = sum(coef * variables[var] for coef, var in terms)
-        constraints.append(expr >= rhs if sense == ">=" else expr <= rhs)
-    problem = cp.Problem(cp.Minimize(variables["c"]), constraints)
-    problem.solve(solver="GLPK_MI")
-    return round(problem.value)
+    column = {name: k for k, name in enumerate(binaries + ["c"])}
+    matrix = np.zeros((len(rows), len(column)))
+    lower, upper = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
+    for r, (_, terms, sense, rhs) in enumerate(rows):
+        for coef, var in terms:
+            matrix[r, column[var]] += coef
+        (lower if sense == ">=" else upper)[r] = rhs
+    cost = np.zeros(len(column))
+    cost[column["c"]] = 1
+    # binaries are integral in [0, 1]; c is continuous and, as in LP files, >= 0
+    res = optimize.milp(cost, constraints=optimize.LinearConstraint(matrix, lower, upper),
+                        integrality=cost == 0,
+                        bounds=optimize.Bounds(0, np.where(cost == 0, 1, np.inf)))
+    assert res.success, res.message
+    return round(res.fun)
 
 
 @pytest.mark.parametrize("pair,perm,want", [
@@ -288,5 +293,19 @@ def _solve_lp_with_external_solver(text):
 def test_export_solved_by_external_milp_solver(pair, perm, want):
     model = build_ip(*pair, perm)
     text = export_lp(model)
-    assert _solve_lp_with_external_solver(text) == want
+    assert _solve_lp_text(text) == want
     assert solve_ip(model).objective == want
+
+
+def test_export_solved_by_milp_matches_solve_ip_n6():
+    from tnexp.search import _sample_perms
+
+    perms = [Permutation(row) for row in _sample_perms(6, 5, seed=2)]
+    checked = 0
+    for t, t2 in itertools.product(enumerate_shapes(6), repeat=2):
+        for perm in perms:
+            model = build_ip(t, t2, perm)
+            assert _solve_lp_text(export_lp(model)) == solve_ip(model).objective, \
+                (t.text, t2.text, perm.one_line())
+            checked += 1
+    assert checked == 36 * 5

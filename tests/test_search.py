@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ def test_search_sampled_permutations():
     assert res.digest("cover") == again.digest("cover")
 
 
+@pytest.mark.parametrize("n,count", [(5, 100), (8, 40319)])
+def test_sample_perms_above_half_leaves_out_the_rest(n, count):
+    rows = [tuple(r) for r in _sample_perms(n, count, seed=0).tolist()]
+    assert len(rows) == count
+    assert rows == sorted(set(rows))
+    assert all(sorted(r) == list(range(1, n + 1)) for r in rows)
+
+
 def test_search_input_validation():
     with pytest.raises(ValueError):
         run_search(3)
@@ -272,3 +281,56 @@ def test_reference_unparseable(tmp_path):
     write_results(run_search(4), "csv", ours)
     with pytest.raises(ValueError):
         verify_against_reference(ours, bad)
+
+
+N10_HEADER = "n,shape_a,shape_b,perm_oneline,cover_bound"
+N10_SHAPE = "(((((((((..).).).).).).).).)"
+# integer order puts ...-9-10 before ...-10-9; string order would swap them
+N10_PERMS = ("1-2-3-4-5-6-7-8-9-10", "1-2-3-4-5-6-7-8-10-9")
+
+
+def _n10_csv(path, perms_values):
+    lines = [N10_HEADER] + [f"10,{N10_SHAPE},{N10_SHAPE},{p},{v}" for p, v in perms_values]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_reference_orders_dashed_perms_as_integers(tmp_path):
+    ours = _n10_csv(tmp_path / "ours.csv", [(N10_PERMS[0], 1), (N10_PERMS[1], 2)])
+    assert verify_against_reference(ours, ours).compared == 2
+    ref = _n10_csv(tmp_path / "ref.csv", [(N10_PERMS[1], 3)])
+    diff = verify_against_reference(ours, ref)
+    key = ("10", N10_SHAPE, N10_SHAPE)
+    assert diff.mismatches == ((key + (N10_PERMS[1],), "cover_bound", 2, 3),)
+    assert diff.missing_in_reference == (key + (N10_PERMS[0],),)
+    assert diff.missing_in_ours == ()
+    # the writer's own sampled n = 10 CSV is in this order
+    path = tmp_path / "n10.csv"
+    write_results(run_search(10, sample_perms=2, seed=7), "csv", path)
+    diff = verify_against_reference(path, path)
+    assert diff.ok and diff.compared == 98 * 98 * 2
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([(N10_PERMS[1], 1), (N10_PERMS[0], 1)], ":3: key repeated or out of"),
+    ([(N10_PERMS[0], 1), (N10_PERMS[0], 1)], ":3: key repeated or out of"),
+    ([(N10_PERMS[0], "x")], ":2: invalid literal for int()"),
+], ids=["swapped", "repeated", "non-integer"])
+def test_reference_rejects_rows_with_file_and_line(tmp_path, rows, message):
+    good = _n10_csv(tmp_path / "good.csv", [(N10_PERMS[0], 1)])
+    bad = _n10_csv(tmp_path / "bad.csv", rows)
+    for args in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}{message}")):
+            verify_against_reference(*args)
+
+
+def test_reference_rejects_short_row_and_bad_header(tmp_path):
+    good = _n10_csv(tmp_path / "good.csv", [(N10_PERMS[0], 1)])
+    short = tmp_path / "short.csv"
+    short.write_text(f"{N10_HEADER}\n10,{N10_SHAPE},{N10_SHAPE},{N10_PERMS[0]}\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{short}:2: 4 fields, header has 5")):
+        verify_against_reference(good, short)
+    no_key = tmp_path / "no_key.csv"
+    no_key.write_text(N10_HEADER.replace("shape_b,", "") + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{no_key}:1: header needs")):
+        verify_against_reference(good, no_key)
