@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Cover tables and the cover-based containment exponent.
 
-Computes minimum doad covers for every leaf subset of a tree, then uses
-them to certify exponents for tree pairs under leaf permutations.
+Computes minimum doad covers of leaf subsets, by the closed form one
+subset at a time and by the BFS table over every subset, then uses them
+to certify exponents for tree pairs under leaf permutations.
 """
 
 from tnexp import (
+    CoverCounter,
     Permutation,
     build_cover_table,
     build_ht,
@@ -18,14 +20,14 @@ from tnexp import (
 )
 
 ht2 = build_ht(2)
-table = build_cover_table(ht2)
+counter = CoverCounter(ht2)
 
 print(f"minimum doad covers over {ht2}:")
 for leaves in [(1,), (1, 2), (2, 3), (1, 3), (2, 3, 4), (1, 2, 3, 4)]:
     mask = mask_from_leaves(leaves)
-    wit = table.witness(mask)
+    wit = counter.witness(mask)
     parts = " + ".join(str(set(leaves_of_mask(m))) for _, _, m in wit)
-    print(f"  {set(leaves)!s:<14} n_S = {table.count(mask)}   {parts}")
+    print(f"  {set(leaves)!s:<14} n_S = {counter.count(mask)}   {parts}")
 
 # the comb tree on 8 leaves: an interior interval only decomposes into
 # singletons, while its two-sided complement splits into two doads
@@ -33,8 +35,8 @@ tt8 = build_tt(8)
 t8 = build_cover_table(tt8)
 inner = mask_from_leaves(range(2, 8))
 print(f"\nover {tt8}:")
-print(f"  {{2..7}} needs {t8.count(inner)} sets, its complement {t8.count(t8.tree.full_mask ^ inner)}")
-assert t8.count(inner) == 6
+print(f"  {{2..7}} needs {t8[inner]} sets, its complement {t8[tt8.full_mask ^ inner]}")
+assert t8[inner] == 6
 
 print("\nexponent reports (identity permutation):")
 tt4 = build_tt(4)

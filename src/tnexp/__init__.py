@@ -24,7 +24,6 @@ from .trees import (
     leaves_of_mask,
 )
 from .covers import (
-    CoverTable,
     CoverCounter,
     build_cover_table,
     cover_exponent,
@@ -62,7 +61,7 @@ __all__ = [
     "enumerate_shapes", "enumerate_plane_trees", "DoadFamily", "doad_family",
     "heights", "Permutation", "all_permutations",
     "mask_from_leaves", "leaves_of_mask",
-    "CoverTable", "CoverCounter", "build_cover_table", "cover_exponent",
+    "CoverCounter", "build_cover_table", "cover_exponent",
     "ExponentReport", "min_product_cover", "check_trivial_containment",
     "BoundValue", "trivial_bound", "poset_bound", "poset_min4", "poset_table",
     "height_bound_tt", "plane_general_bound", "compose_exponents",

@@ -6,7 +6,8 @@ for the perfect tree of depth K, or "tt:N" for the N-leaf comb tree.
 Permutations are one-line ("3142", "3,1,4,2") or "id".  Output is JSON
 by default; --table prints an aligned human-readable view.  Exit code 0
 on success, 1 on a failed comparison, 2 on bad input, each with a
-one-line "error: ..." message on stderr.
+one-line "error: ..." message on stderr; 141 (128 + SIGPIPE), silently,
+when the reader closes stdout early (`tnexp ... | head`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -320,7 +322,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point fd 1 at devnull so the final
+        # flush at exit stays quiet, and exit as if killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

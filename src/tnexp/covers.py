@@ -25,13 +25,14 @@ sets of v, and D(X) for the number of maximal descendant sets inside X.
 
 Hence n_S = min(D(S), 1 + D(S & d(lca(S^c)))), with n_0 = 0 and
 n_full = 1; at the root the second term is 1 + D(S) and never wins.
-CoverCounter evaluates this one subset at a time from the tree alone,
-so cover_exponent answers for every tree up to LEAF_CAP leaves.  This
-is the only code that evaluates the closed form: the poset bound
-(bounds.poset_min4, bounds.poset_table) reads min(n_S, n_{S^c}) from a
-CoverCounter.  The layered BFS CoverTable over all 2^n subsets is the
-route of the exhaustive search (kinds "cover" and "naive") and the
-tests' oracle for the closed form.
+CoverCounter evaluates this one subset at a time from the tree alone
+and answers every cover query: cover_exponent always reads it, so it
+answers for every tree up to LEAF_CAP leaves, and the poset bound
+(bounds.poset_min4, bounds.poset_table) reads min(n_S, n_{S^c}) from
+it.  The other route is build_cover_table, a layered BFS over all 2^n
+subsets that returns the counts array; it serves the exhaustive
+search's "cover" and "naive" kinds and is the tests' oracle for the
+closed form.
 
 The containment exponent certificate for a pair (T, T') under a leaf
 permutation is then: for every internal node w of T', cover either the
@@ -65,7 +66,6 @@ from .trees import (
 )
 
 __all__ = [
-    "CoverTable",
     "CoverCounter",
     "build_cover_table",
     "cover_exponent",
@@ -81,63 +81,14 @@ _UNSET = 255
 
 
 # ---------------------------------------------------------------------------
-# cover tables
-
-def _greedy_witness(t: Tree, count, mask: int) -> tuple:
-    """One optimal decomposition of `mask` as (vertex, kind, set) triples.
-
-    `count` gives the exact n_S of any subset of T's leaves.  Each step
-    removes the doad set d inside what remains with
-    n(remaining ^ d) = k - 1 whose (vertex, kind) is smallest, "desc"
-    before "anti", so the result is pairwise disjoint and deterministic.
-    A set is first reached at its smallest witness, which is the one
-    reported.
-    """
-    full = t.full_mask
-    doads = [(vid, kind, d) for vid, d_v in enumerate(t.desc_masks)
-             for kind, d in (("desc", d_v), ("anti", full ^ d_v)) if d]
-    out = []
-    remaining = mask
-    k = count(mask)
-    while remaining:
-        k -= 1
-        for vid, kind, d in doads:
-            if not d & ~remaining and count(remaining ^ d) == k:
-                break
-        out.append((vid, kind, d))
-        remaining ^= d
-    return tuple(out)
-
-
-class CoverTable:
-    """Minimum doad-cover sizes for every leaf subset of one tree.
-
-    counts[m] is n_S for the subset with bitmask m (counts[0] == 0).
-    Witness decompositions are derived on demand; they are pairwise
-    disjoint and deterministic (smallest witness vertex first among the
-    optimal choices).
-    """
-
-    __slots__ = ("tree", "counts")
-
-    def __init__(self, tree: Tree, counts: np.ndarray):
-        self.tree = tree
-        self.counts = counts
-
-    def count(self, mask: int) -> int:
-        return int(self.counts[mask])
-
-    def witness(self, mask: int) -> tuple:
-        """One optimal decomposition of `mask` as (vertex, kind, set) triples."""
-        return _greedy_witness(self.tree, self.count, mask)
-
+# cover numbers
 
 class CoverCounter:
     """Exact n_S for one leaf subset at a time, read off the tree.
 
-    Same interface as CoverTable, without the 2^n table: n_S is the
-    closed form of the module docstring, so any tree up to LEAF_CAP
-    leaves is answered, one query in time linear in the tree size.
+    n_S is the closed form of the module docstring, so any tree up to
+    LEAF_CAP leaves is answered, one query in time linear in the tree
+    size, without the 2^n table.
     """
 
     __slots__ = ("tree",)
@@ -158,12 +109,36 @@ class CoverCounter:
                    1 + maximal_desc_count(t, mask & t.desc_masks[lca_c]))
 
     def witness(self, mask: int) -> tuple:
-        """One optimal decomposition of `mask` as (vertex, kind, set) triples."""
-        return _greedy_witness(self.tree, self.count, mask)
+        """One optimal decomposition of `mask` as (vertex, kind, set) triples.
+
+        Each step removes the doad set d inside what remains with
+        n(remaining ^ d) = k - 1 whose (vertex, kind) is smallest, "desc"
+        before "anti", so the result is pairwise disjoint and
+        deterministic.  A set is first reached at its smallest witness,
+        which is the one reported.
+        """
+        t, count = self.tree, self.count
+        full = t.full_mask
+        doads = [(vid, kind, d) for vid, d_v in enumerate(t.desc_masks)
+                 for kind, d in (("desc", d_v), ("anti", full ^ d_v)) if d]
+        out = []
+        remaining = mask
+        k = count(mask)
+        while remaining:
+            k -= 1
+            for vid, kind, d in doads:
+                if not d & ~remaining and count(remaining ^ d) == k:
+                    break
+            out.append((vid, kind, d))
+            remaining ^= d
+        return tuple(out)
 
 
-def build_cover_table(t: Tree) -> CoverTable:
-    """Exact n_S for every leaf subset, by layered disjoint-union BFS."""
+def build_cover_table(t: Tree) -> np.ndarray:
+    """Exact n_S for every leaf subset, by layered disjoint-union BFS.
+
+    Returns the uint8 array with counts[mask] = n_S (counts[0] == 0).
+    """
     if t.n > COVER_TABLE_CAP:
         raise ValueError(
             f"cover tables are capped at {COVER_TABLE_CAP} leaves (got {t.n}); "
@@ -183,7 +158,7 @@ def build_cover_table(t: Tree) -> CoverTable:
                 counts[ext] = layer
                 grown.append(ext)
         frontier = np.unique(np.concatenate(grown)) if grown else np.zeros(0, dtype=np.int64)
-    return CoverTable(t, counts)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +228,10 @@ class ExponentReport:
 
 
 def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
-                   table: Optional[CoverTable | CoverCounter] = None,
                    with_witnesses: bool = False) -> ExponentReport:
-    """Certified containment exponent for T' covered by doad sets of T.
-
-    Cover numbers come from `table` when one is given (a CoverTable or a
-    CoverCounter for T), else from a CoverCounter.
-    """
+    """Certified containment exponent for T' covered by doad sets of T."""
     perm = instance_perm(t, t_prime, perm)
-    if table is None:
-        table = CoverCounter(t)
-    elif table.tree != t:
-        raise ValueError("cover table was built for a different tree")
+    counter = CoverCounter(t)
 
     full = t.full_mask
     per_node = []
@@ -272,13 +239,13 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
     for w in t_prime.internal:
         d_set = perm.pullback(t_prime.desc_masks[w])
         a_set = full ^ d_set
-        nd = table.count(d_set)
-        na = table.count(a_set)
+        nd = counter.count(d_set)
+        na = counter.count(a_set)
         chosen = "anti" if na < nd else "desc"
         per_node.append(NodeCover(t_prime.node_label(w), d_set, a_set, nd, na, chosen))
         bound = max(bound, min(nd, na))
 
-    naive = max(table.count(perm.pullback(m)) for m in doad_family(t_prime).masks)
+    naive = max(counter.count(perm.pullback(m)) for m in doad_family(t_prime).masks)
 
     witnesses = None
     if with_witnesses:
@@ -286,7 +253,7 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
         for nc in per_node:
             side = nc.desc_set if nc.chosen == "desc" else nc.anti_set
             witnesses[nc.label] = tuple(
-                (t.node_label(vid), kind, m) for vid, kind, m in table.witness(side))
+                (t.node_label(vid), kind, m) for vid, kind, m in counter.witness(side))
 
     return ExponentReport(
         tree=t.text, tree_prime=t_prime.text, perm=perm.one_line(),

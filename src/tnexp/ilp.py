@@ -54,8 +54,7 @@ class IpModel:
     tree: str
     tree_prime: str
     perm: str
-    variables: tuple        # all registered variable names, c last
-    binaries: tuple
+    variables: tuple        # all registered variable names, c last; the rest are binary
     rows: tuple             # IpRow, grouped as described in the module docstring
     fixed_zero: tuple       # variable names excluded by the subset conditions
     node_sides: dict        # w-label -> {"desc"|"anti": (target_mask, ((var, set_mask), ...))}
@@ -95,7 +94,6 @@ def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpMo
     nodes = [w for w in t_prime.internal]
 
     variables: list[str] = []
-    binaries: list[str] = []
     fixed_zero: list[str] = []
     node_sides: dict = {}
     cover_rows_u: list[IpRow] = []
@@ -127,11 +125,8 @@ def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpMo
                         cands.append((name, set_mask))
             sides[side] = (target, tuple(cands))
 
-            binaries.append(z_name)
             variables.append(z_name)
-            for name, _ in cands:
-                binaries.append(name)
-                variables.append(name)
+            variables.extend(name for name, _ in cands)
 
             # one covering row per leaf of the target side
             for leaf in leaves_of_mask(target):
@@ -155,8 +150,8 @@ def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpMo
             + tuple(card_rows_u) + tuple(card_rows_o)
             + (IpRow("c_min", ((1, "c"),), ">=", 1),))
     return IpModel(tree=t.text, tree_prime=t_prime.text, perm=perm.one_line(),
-                   variables=tuple(variables), binaries=tuple(binaries),
-                   rows=rows, fixed_zero=tuple(fixed_zero), node_sides=node_sides)
+                   variables=tuple(variables), rows=rows,
+                   fixed_zero=tuple(fixed_zero), node_sides=node_sides)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +266,7 @@ def export_lp(model: IpModel, path=None) -> str:
         expr = " ".join(terms) if terms else "0 c"
         lines.append(f" {row.name}: {expr} {row.sense} {row.rhs}")
     lines.append("Binary")
-    for name in model.binaries:
+    for name in model.variables[:-1]:
         lines.append(f" {name}")
     lines.append("End")
     text = "\n".join(lines) + "\n"

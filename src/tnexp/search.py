@@ -214,7 +214,7 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
         sampled = True
     leaf_bits = _leaf_bits(perms)
 
-    counts = ([build_cover_table(t).counts for t in shapes]
+    counts = ([build_cover_table(t) for t in shapes]
               if "cover" in kinds or "naive" in kinds else None)
     # kind -> (per-shape tables, target shape -> masks whose pullbacks it reads)
     plans = {"cover": lambda: ([np.minimum(c, c[::-1]) for c in counts], _node_masks),

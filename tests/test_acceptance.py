@@ -115,10 +115,9 @@ def test_c4_tt_universality():
     worst = 0
     checked = 0
     for n in range(2, 9):
-        table = build_cover_table(build_tt(n))
         tt = build_tt(n)
         for t in enumerate_plane_trees(n):
-            b = cover_exponent(tt, t, table=table).cover_bound
+            b = cover_exponent(tt, t).cover_bound
             worst = max(worst, b)
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -145,11 +144,10 @@ def test_c6_oracle_equivalence():
         shapes = enumerate_shapes(n)
         assert len(shapes) ** 2 == pair_count
         perms = [Permutation(row) for row in _sample_perms(n, 50, seed=0)]
-        tables = [build_cover_table(t) for t in shapes]
-        for i, t in enumerate(shapes):
+        for t in shapes:
             for t2 in shapes:
                 for perm in perms:
-                    want = cover_exponent(t, t2, perm, table=tables[i]).cover_bound
+                    want = cover_exponent(t, t2, perm).cover_bound
                     got = solve_ip(build_ip(t, t2, perm)).objective
                     instances += 1
                     mismatches += (got != want)
@@ -159,7 +157,7 @@ def test_c6_oracle_equivalence():
         for t in enumerate_shapes(n):
             table = build_cover_table(t)
             brute = brute_cover_table(t)
-            brute_bad += sum(table.count(m) != brute[m] for m in range(1 << n))
+            brute_bad += sum(table[m] != brute[m] for m in range(1 << n))
     elapsed = time.perf_counter() - t0
     _criterion(6, mismatches == 0 and brute_bad == 0 and elapsed < 300.0,
                "integer program == cover DP on 36+121 shape pairs x 50 perms; "
@@ -197,9 +195,8 @@ def test_c8_rank_verification():
     splits_checked = 0
     for n in range(2, 7):
         planes = enumerate_plane_trees(n)
-        tables = [build_cover_table(t) for t in planes]
-        pair_bound = [[cover_exponent(t, t2, table=tables[i]).cover_bound
-                       for t2 in planes] for i, t in enumerate(planes)]
+        pair_bound = [[cover_exponent(t, t2).cover_bound for t2 in planes]
+                      for t in planes]
         probe_masks = [[t2.desc_masks[w] for w in range(1, t2.size)]
                        for t2 in planes]
         full = (1 << n) - 1

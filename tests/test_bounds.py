@@ -122,7 +122,7 @@ def test_poset_table_is_min_of_exact_covers():
     # the poset minimum is exact: min(n_S, n_{S^c}) on every proper subset
     for n in range(2, 10):
         for t in enumerate_shapes(n):
-            counts = build_cover_table(t).counts
+            counts = build_cover_table(t)
             full = t.full_mask
             want = np.minimum(counts, counts[::-1])  # counts[::-1][m] == counts[full ^ m]
             want[0] = want[full] = 0

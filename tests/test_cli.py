@@ -167,15 +167,30 @@ def test_verify_ranks_bad_input_exits_2(capsys):
         assert err.startswith("error:") and err.count("\n") == 1, (extra, err)
 
 
+CHILD_CLI = [sys.executable, "-c", "import sys; from tnexp.cli import main; sys.exit(main())"]
+
+
+def child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
 def run_capped(*argv, limit=CHILD_AS_LIMIT, timeout=60):
     """Run the CLI in a child process whose address space is capped at `limit` bytes."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from tnexp.cli import main; sys.exit(main())",
-         *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [*CHILD_CLI, *argv], capture_output=True, text=True, env=child_env(), timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+def test_closed_stdout_exits_141_quietly():
+    # `tnexp enumerate --n 16 | head -c 10`: the listing is far larger than
+    # a pipe buffer, so the child is still writing when the reader leaves
+    proc = subprocess.Popen([*CHILD_CLI, "enumerate", "--n", "16"], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141 and err == b"", err
 
 
 @pytest.mark.parametrize("argv", [

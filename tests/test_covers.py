@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -34,18 +33,18 @@ def test_table_matches_brute_force_all_small_trees():
             table = build_cover_table(t)
             brute = brute_cover_table(t)
             for mask in range(1 << n):
-                assert table.count(mask) == brute[mask]
+                assert table[mask] == brute[mask]
 
 
 def test_table_spot_values():
     ht2 = build_cover_table(build_ht(2))
-    assert ht2.count(mask_from_leaves([2, 3])) == 2
-    assert ht2.count(mask_from_leaves([1, 3])) == 2
-    assert ht2.count(0) == 0
+    assert ht2[mask_from_leaves([2, 3])] == 2
+    assert ht2[mask_from_leaves([1, 3])] == 2
+    assert ht2[0] == 0
     tt8 = build_cover_table(build_tt(8))
     # interval touching neither end: only singletons fit inside it
-    assert tt8.count(mask_from_leaves(range(2, 8))) == 6
-    assert tt8.count(mask_from_leaves([1, 8])) == 2
+    assert tt8[mask_from_leaves(range(2, 8))] == 6
+    assert tt8[mask_from_leaves([1, 8])] == 2
 
 
 def test_table_invariants():
@@ -55,29 +54,12 @@ def test_table_invariants():
         full = t.full_mask
         half = t.n // 2
         for mask in range(1, full + 1):
-            n_s = table.count(mask)
+            n_s = table[mask]
             assert n_s >= 1
             assert (n_s == 1) == (mask in fam)
             assert n_s <= bin(mask).count("1")
             if mask != full:
-                assert min(n_s, table.count(full ^ mask)) <= half
-
-
-def test_witness_decompositions():
-    for t in enumerate_shapes(5):
-        table = build_cover_table(t)
-        fam = doad_family(t)
-        for mask in range(1, t.full_mask + 1):
-            wit = table.witness(mask)
-            assert len(wit) == table.count(mask)
-            union = 0
-            for vid, kind, m in wit:
-                assert m in fam
-                assert (vid, kind) in fam.witnesses[m]
-                assert union & m == 0  # pairwise disjoint
-                union |= m
-            assert union == mask
-            assert table.witness(mask) == wit  # deterministic
+                assert min(n_s, table[full ^ mask]) <= half
 
 
 def test_table_cap():
@@ -89,33 +71,31 @@ def test_table_cap():
 # per-query closed form against the BFS table
 
 def test_counter_matches_table_every_subset():
-    for n in range(2, 11):
-        for t in enumerate_shapes(n):
-            counter = CoverCounter(t)
-            got = [counter.count(mask) for mask in range(1 << n)]
-            assert np.array_equal(got, build_cover_table(t).counts), t
+    trees = [t for n in range(2, 11) for t in enumerate_shapes(n)]
+    for t in trees + [build_tt(12), build_ht(4)]:
+        counter = CoverCounter(t)
+        got = [counter.count(mask) for mask in range(1 << t.n)]
+        assert np.array_equal(got, build_cover_table(t)), t
 
 
-def test_counter_witness_matches_table():
+def test_witness_decompositions():
     trees = [t for n in range(2, 8) for t in enumerate_shapes(n)]
     for t in trees + [build_tt(12), build_ht(4)]:
         table, counter = build_cover_table(t), CoverCounter(t)
+        fam = doad_family(t)
         # ht:4 has 65536 subsets; a stride keeps the test short
         step = 7 if t.n > 12 else 1
-        for mask in range(0, 1 << t.n, step):
-            assert counter.witness(mask) == table.witness(mask), (t, mask)
-
-
-def test_default_route_matches_table_route():
-    rng = random.Random(6)
-    shapes = enumerate_shapes(6)
-    perms = [Permutation(rng.sample(range(1, 7), 6)) for _ in range(10)]
-    for t, t2 in itertools.product(shapes, repeat=2):
-        table = build_cover_table(t)
-        for perm in perms:
-            a = cover_exponent(t, t2, perm, with_witnesses=True).to_dict()
-            b = cover_exponent(t, t2, perm, table=table, with_witnesses=True).to_dict()
-            assert a == b
+        for mask in range(1, t.full_mask + 1, step):
+            wit = counter.witness(mask)
+            assert len(wit) == table[mask]
+            union = 0
+            for vid, kind, m in wit:
+                assert m in fam
+                assert (vid, kind) in fam.witnesses[m]
+                assert union & m == 0  # pairwise disjoint
+                union |= m
+            assert union == mask
+            assert CoverCounter(t).witness(mask) == wit  # deterministic
 
 
 def test_exponent_past_table_cap_matches_ip():
@@ -166,7 +146,7 @@ def test_report_consistency():
     for nc in rep.per_node:
         side = nc.desc_set if nc.chosen == "desc" else nc.anti_set
         wit = rep.witnesses[nc.label]
-        assert len(wit) == table.count(side)
+        assert len(wit) == table[side]
     d = rep.to_dict()
     assert d["cover_bound"] == 2 and "witnesses" in d
 
@@ -177,13 +157,13 @@ def test_permuted_instances_match_per_node_minimum():
     table = build_cover_table(t)
     full = t.full_mask
     for perm in all_permutations(4):
-        rep = cover_exponent(t, t2, perm, table=table)
+        rep = cover_exponent(t, t2, perm)
         want = 1
         for w in t2.internal:
             if w == t2.root:
                 continue
             d = perm.pullback(t2.desc_masks[w])
-            want = max(want, min(table.count(d), table.count(full ^ d)))
+            want = max(want, min(table[d], table[full ^ d]))
         assert rep.cover_bound == want
 
 
@@ -195,11 +175,9 @@ def test_mirror_probe_symmetry():
         shapes = enumerate_shapes(n)
         perms = list(itertools.islice(all_permutations(n), 0, None, 5))
         for t, t2 in itertools.product(shapes, repeat=2):
-            table = build_cover_table(t)
             for perm in perms:
-                a = cover_exponent(t, t2, perm, table=table).cover_bound
-                b = cover_exponent(t, t2.mirror(), rev.compose(perm),
-                                   table=table).cover_bound
+                a = cover_exponent(t, t2, perm).cover_bound
+                b = cover_exponent(t, t2.mirror(), rev.compose(perm)).cover_bound
                 assert a == b
 
 
@@ -209,12 +187,10 @@ def test_mirror_conjugation_invariance():
         rev = Permutation(range(n, 0, -1))
         perms = list(itertools.islice(all_permutations(n), 0, None, 7))
         for t, t2 in itertools.product(shapes, repeat=2):
-            table = build_cover_table(t)
-            m_table = build_cover_table(t.mirror())
             for perm in perms:
                 conj = rev.compose(perm).compose(rev)
-                a = cover_exponent(t, t2, perm, table=table).cover_bound
-                b = cover_exponent(t.mirror(), t2.mirror(), conj, table=m_table).cover_bound
+                a = cover_exponent(t, t2, perm).cover_bound
+                b = cover_exponent(t.mirror(), t2.mirror(), conj).cover_bound
                 assert a == b
 
 
@@ -241,7 +217,7 @@ def test_product_uniform_weight_matches_counts():
         table = build_cover_table(t)
         for mask in range(1, t.full_mask + 1):
             product, wit = min_product_cover(t, 2, mask)
-            want = table.count(mask)
+            want = int(table[mask])
             if mask == t.full_mask:
                 # two overlapping anti sets may beat a longer partition
                 want = min(want, 2)
