@@ -11,14 +11,22 @@ masks of its non-root internal node sets are computed once, straight from
 the permutation array, and reused for every covering shape T.  The cover
 value of an instance is the max over those nodes of min(n_d, n_a), the
 cheaper of covering the node's descendant set or its anti set; with
-full ^ m == full - m that minimum is one lookup in the per-shape min-side
-table min(counts, counts[::-1]).  The poset kind reads the same node
-columns: poset_min4 is symmetric under S <-> S^c and at most 1 on
-singletons, so its max over every nontrivial doad set of T' equals its
-max over the non-root internal descendant sets, floored at 1.  It still
-reads the closed-form poset table, never the cover tables, so the two
-kinds stay independent derivations.  The naive kind reads the raw cover
-table at every pulled-back doad set of T'.
+full ^ m == full - m that minimum is the per-shape min-side table
+min(counts, counts[::-1]) read at the node's pulled-back mask.  The poset
+kind reads the same node columns: poset_min4 is symmetric under
+S <-> S^c and at most 1 on singletons, so its max over every nontrivial
+doad set of T' equals its max over the non-root internal descendant sets,
+floored at 1.  It still reads the closed-form poset table, never the
+cover tables, so the two kinds stay independent derivations.  The naive
+kind reads the raw cover table at every pulled-back doad set of T'.
+
+Every value is at least 1 (a leaf of T' needs one singleton), so each
+lookup table is floored at 1 once, up front.  While 4^n <= PAIR_TABLE_CAP,
+i.e. n <= 9, lookups go two T' nodes at a time: a shape's pair table
+holds max(t[a], t[b]) at a << n | b, the node columns are packed two to
+an index (an odd count pairs the last one with the empty mask, floored
+to 1), and an instance costs one lookup per two nodes.  Above that each
+node is its own lookup.
 
 Results are kept as one uint8 array of shape (shapes, shapes, perms) per
 kind, with permutations in lexicographic order, so the aggregates and
@@ -55,6 +63,7 @@ __all__ = ["SearchResult", "run_search", "write_results",
 FULL_SEARCH_CAP = 8       # n! blow-up; larger n must sample permutations
 SAMPLED_SEARCH_CAP = 12
 INSTANCE_CAP = 1 << 30    # instances per kind array (1 GiB of uint8); full n = 9 fits
+PAIR_TABLE_CAP = 1 << 18  # entries per pair table (256 KiB of uint8): n <= 9
 KINDS = ("cover", "poset", "naive")
 KEY_COLUMNS = ("n", "shape_a", "shape_b", "perm_oneline")
 CSV_COLUMNS = {"cover": "cover_bound", "poset": "poset_bound", "naive": "naive_max_bound"}
@@ -114,26 +123,23 @@ class SearchResult:
 
 
 def _leaf_bits(perms: np.ndarray) -> np.ndarray:
-    """(n, P) intp table: row x holds 1 << l where perms[p, l] == x + 1.
+    """(n, P) float64 table: row x holds 2^l where perms[p, l] == x + 1.
 
     perms has shape (P, n) with 1-based entries; the pulled-back mask of a
-    mask m is the OR of the rows of its leaves.
+    mask m is the OR, here also the sum, of the rows of its leaves.
     """
-    return np.left_shift(1, np.argsort(perms, axis=1).T.astype(np.intp))
+    return np.ldexp(1.0, np.argsort(perms, axis=1).T)
 
 
 def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
     """(len(masks), P) intp: pulled-back mask of each requested mask.
 
     out[k, p] has leaf l set iff perms[p, l] is a leaf of masks[k], as in
-    Permutation.pullback; built one mask at a time from `_leaf_bits`.
+    Permutation.pullback: one product of the masks' 0/1 leaf-membership
+    matrix with `_leaf_bits`, exact in float64 since every sum is below 2^n.
     """
-    out = np.zeros((len(masks), leaf_bits.shape[1]), dtype=np.intp)
-    for k, mask in enumerate(masks):
-        for x, bits in enumerate(leaf_bits):
-            if mask >> x & 1:
-                out[k] |= bits
-    return out
+    member = np.asarray(masks, dtype=np.intp)[:, None] >> np.arange(len(leaf_bits)) & 1
+    return (member.astype(np.float64) @ leaf_bits).astype(np.intp)
 
 
 def _node_masks(t) -> list:
@@ -146,7 +152,32 @@ def _doad_masks(t) -> tuple:
 
 
 def _lex_perms(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
+    return np.fromiter(flat, dtype=np.int8, count=n * math.factorial(n)).reshape(-1, n)
+
+
+def _lookup_tables(tables: np.ndarray, group: int) -> np.ndarray:
+    """(S, 2^(group n)) uint8 from (S, 2^n) tables, every entry floored at 1.
+
+    For group 2 entry a << n | b holds max(t[a], t[b], 1): one pair table per shape.
+    """
+    floored = np.maximum(tables, 1)   # a leaf of T' needs one singleton
+    if group == 1:
+        return floored
+    return np.maximum(floored[:, :, None], floored[:, None, :]).reshape(len(tables), -1)
+
+
+def _pack_columns(cols: np.ndarray, n: int, group: int) -> np.ndarray:
+    """Node columns packed `group` to an index.
+
+    An odd count pairs the last column with mask 0, whose floored entry 1
+    leaves every max unchanged.
+    """
+    if group == 1:
+        return cols
+    packed = cols[0::2] << n
+    packed[:len(cols) // 2] |= cols[1::2]
+    return packed
 
 
 def _sample_perms(n: int, count: int, seed: int) -> np.ndarray:
@@ -214,13 +245,17 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
         sampled = True
     leaf_bits = _leaf_bits(perms)
 
-    counts = ([build_cover_table(t) for t in shapes]
+    counts = (np.array([build_cover_table(t) for t in shapes])
               if "cover" in kinds or "naive" in kinds else None)
     # kind -> (per-shape tables, target shape -> masks whose pullbacks it reads)
-    plans = {"cover": lambda: ([np.minimum(c, c[::-1]) for c in counts], _node_masks),
-             "poset": lambda: ([poset_table(t) for t in shapes], _node_masks),
+    plans = {"cover": lambda: (np.minimum(counts, counts[:, ::-1]), _node_masks),
+             "poset": lambda: (np.array([poset_table(t) for t in shapes]), _node_masks),
              "naive": lambda: (counts, _doad_masks)}
-    plan = {k: plans[k]() for k in kinds}
+    group = 2 if 4 ** n <= PAIR_TABLE_CAP else 1
+    plan = {}
+    for k in kinds:
+        tables, masks_of = plans[k]()
+        plan[k] = (_lookup_tables(tables, group), masks_of)
 
     data = {k: np.empty((len(shapes), len(shapes), len(perms)), dtype=np.uint8)
             for k in kinds}
@@ -228,12 +263,14 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
         cols = {}
         for k, (tables, masks_of) in plan.items():
             if masks_of not in cols:
-                cols[masks_of] = _pullback_columns(leaf_bits, masks_of(target))
+                cols[masks_of] = _pack_columns(
+                    _pullback_columns(leaf_bits, masks_of(target)), n, group)
+            idx = cols[masks_of]
+            tmp = np.empty(idx.shape, dtype=np.uint8)
             for i, table in enumerate(tables):
-                # every value is at least 1: a leaf of T' needs one singleton
-                out = data[k][i, j]
-                np.max(table[cols[masks_of]], axis=0, out=out)
-                np.maximum(out, 1, out=out)
+                # indices are in range, so "wrap" only skips take's buffered bounds check
+                np.take(table, idx, out=tmp, mode="wrap")
+                tmp.max(axis=0, out=data[k][i, j])
 
     return SearchResult(n=n, shapes=tuple(t.text for t in shapes),
                         perms=_perm_strings(perms), sampled=sampled,

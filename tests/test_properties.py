@@ -1,0 +1,65 @@
+"""Bounded property tests on random trees with at most 12 leaves.
+
+Every test draws at most 50 examples with a fixed derivation seed
+(derandomize), so the suite stays fast and repeatable.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tnexp.covers import CoverCounter, build_cover_table, cover_exponent
+from tnexp.trees import Permutation, parse_tree
+
+BOUNDED = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def trees(draw, min_leaves=1, max_leaves=12):
+    """A random full binary plane tree: each internal node splits its leaves at random."""
+    def build(k):
+        if k == 1:
+            return "."
+        left = draw(st.integers(1, k - 1))
+        return "(" + build(left) + build(k - left) + ")"
+    return parse_tree(build(draw(st.integers(min_leaves, max_leaves))))
+
+
+def perms(n):
+    return st.permutations(range(1, n + 1)).map(Permutation)
+
+
+@BOUNDED
+@given(trees())
+def test_parse_round_trip(t):
+    assert parse_tree(t.text) == t
+    assert parse_tree(f"  {t.text}\n").text == t.text
+    assert parse_tree(t.mirror().text).mirror() == t
+
+
+@BOUNDED
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(perms(n), perms(n),
+                                                      st.integers(0, (1 << n) - 1))))
+def test_compose_pulls_back_in_reverse_order(case):
+    p, q, mask = case
+    # (p after q) pulls back through p first, then q
+    assert p.compose(q).pullback(mask) == q.pullback(p.pullback(mask))
+    assert p.compose(p.inverse()).is_identity()
+    assert p.inverse().pullback(p.pullback(mask)) == mask
+    assert bin(p.pullback(mask)).count("1") == bin(mask).count("1")
+
+
+@BOUNDED
+@given(trees(min_leaves=2).flatmap(
+    lambda t: st.tuples(st.just(t), trees(t.n, t.n), perms(t.n))))
+def test_cover_bound_at_most_half_the_leaves(case):
+    t, t_prime, perm = case
+    # each node's cheaper side has at most n // 2 leaves, one singleton each
+    assert 1 <= cover_exponent(t, t_prime, perm).cover_bound <= t.n // 2
+
+
+@BOUNDED
+@given(trees(max_leaves=10))
+def test_counter_matches_bfs_table(t):
+    table = build_cover_table(t)
+    count = CoverCounter(t).count
+    assert [count(m) for m in range(1 << t.n)] == table.tolist()

@@ -24,15 +24,15 @@ from tnexp.trees import Permutation, all_permutations, enumerate_shapes
 # vectorized pullbacks
 
 def test_pullback_table_matches_scalar():
-    n = 5
-    perms = np.array([p.perm for p in all_permutations(n)], dtype=np.int8)
     rng = np.random.default_rng(3)
-    masks = [int(m) for m in rng.integers(1 << n, size=200)]
-    pb = _pullback_columns(_leaf_bits(perms), masks)
-    assert pb.shape == (200, len(perms))
-    for k, mask in enumerate(masks):
-        pi = int(rng.integers(len(perms)))
-        assert pb[k, pi] == Permutation(perms[pi]).pullback(mask)
+    for n, perms in ((5, np.array([p.perm for p in all_permutations(5)], dtype=np.int8)),
+                     (9, np.array([rng.permutation(9) + 1 for _ in range(500)], dtype=np.int8))):
+        masks = [int(m) for m in rng.integers(1 << n, size=200)]
+        pb = _pullback_columns(_leaf_bits(perms), masks)
+        assert pb.shape == (200, len(perms))
+        for k, mask in enumerate(masks):
+            pi = int(rng.integers(len(perms)))
+            assert pb[k, pi] == Permutation(perms[pi]).pullback(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +52,23 @@ def test_search_n4_counts_and_values():
 
 
 def test_search_matches_direct_evaluation():
-    res = run_search(5, kinds=("cover", "poset", "naive"))
-    shapes = enumerate_shapes(5)
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        i = int(rng.integers(3))
-        j = int(rng.integers(3))
-        p = int(rng.integers(120))
-        perm = Permutation.from_text(res.perms[p], 5)
-        rep = cover_exponent(shapes[i], shapes[j], perm)
-        assert res.values("cover", i, j)[p] == rep.cover_bound
-        assert res.values("naive", i, j)[p] == rep.naive_max
-        assert res.values("poset", i, j)[p] == poset_bound(shapes[i], shapes[j], perm).value
+    # n <= 9 reads pair tables (n = 9 has an odd node count, so its last
+    # column pairs with the empty mask); n = 10 reads one node per lookup
+    assert 4 ** 9 <= search.PAIR_TABLE_CAP < 4 ** 10
+    for n, sample, seed, draws in ((5, None, 0, 60), (8, None, 0, 200),
+                                   (9, 500, 1, 200), (10, 200, 2, 200)):
+        res = run_search(n, kinds=("cover", "poset", "naive"), sample_perms=sample, seed=seed)
+        shapes = enumerate_shapes(n)
+        rng = np.random.default_rng(11 + n)
+        for _ in range(draws):
+            i, j = (int(x) for x in rng.integers(len(shapes), size=2))
+            p = int(rng.integers(len(res.perms)))
+            perm = Permutation.from_text(res.perms[p], n)
+            rep = cover_exponent(shapes[i], shapes[j], perm)
+            assert res.values("cover", i, j)[p] == rep.cover_bound, (n, i, j, res.perms[p])
+            assert res.values("naive", i, j)[p] == rep.naive_max, (n, i, j, res.perms[p])
+            assert (res.values("poset", i, j)[p]
+                    == poset_bound(shapes[i], shapes[j], perm).value), (n, i, j, res.perms[p])
 
 
 def test_search_deterministic():
@@ -83,6 +88,10 @@ ALL_KINDS = ("cover", "poset", "naive")
     (9, 2000, 3,
      "60bdde596b743f31092b1f70a5876600525cf10099c0e692bf8527750c88c070",
      "1454553ec9162fee3908bf90c30cf836d7e3b95f47e704e2ba3ac4c9002c3213"),
+    # one T' node per lookup (no pair tables above n = 9)
+    (10, 300, 4,
+     "d0c76ba64616e50edc47be49c55a45aa6b9ce808a90c67ff0e658860c89118f1",
+     "c0cf816439e07f31d9240f1d34e77971c8d3bc3d08bdcb410df9c700d794a3f1"),
     # no naive digest: the poset kind alone, which must build no cover table
     (7, None, 0,
      "4da38153853af5f31e8b7b5c9fda0d05e065a562d98ee1fbbad8cea6fd79d3bc", None),
