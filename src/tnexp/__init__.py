@@ -35,7 +35,6 @@ from .bounds import (
     BoundValue,
     trivial_bound,
     poset_bound,
-    poset_min4,
     poset_table,
     height_bound_tt,
     plane_general_bound,
@@ -63,7 +62,7 @@ __all__ = [
     "mask_from_leaves", "leaves_of_mask",
     "CoverCounter", "build_cover_table", "cover_exponent",
     "ExponentReport", "min_product_cover", "check_trivial_containment",
-    "BoundValue", "trivial_bound", "poset_bound", "poset_min4", "poset_table",
+    "BoundValue", "trivial_bound", "poset_bound", "poset_table",
     "height_bound_tt", "plane_general_bound", "compose_exponents",
     "IpModel", "build_ip", "solve_ip", "export_lp",
     "SearchResult", "run_search", "write_results", "verify_against_reference",

@@ -39,7 +39,6 @@ from .trees import (
 __all__ = [
     "BoundValue",
     "trivial_bound",
-    "poset_min4",
     "poset_table",
     "poset_bound",
     "height_bound_tt",
@@ -79,21 +78,13 @@ def trivial_bound(n: int) -> BoundValue:
 # ---------------------------------------------------------------------------
 # poset bound
 
-def poset_min4(t: Tree, mask: int) -> int:
-    """min(n_S, n_{S^c}) for a proper nonempty leaf subset S = `mask`.
-
-    Both counts come from covers.CoverCounter, whose closed form takes
-    the cheaper of two poset coverings per side, four in all.
-    """
-    comp = t.full_mask ^ mask
-    if mask == 0 or comp == 0:
-        raise ValueError("poset covering terms need a proper nonempty subset")
-    counter = CoverCounter(t)
-    return min(counter.count(mask), counter.count(comp))
-
-
 def poset_table(t: Tree) -> np.ndarray:
-    """poset_min4 for every nontrivial leaf subset (0 at the trivial ones)."""
+    """min(n_S, n_{S^c}) for every leaf subset S, from CoverCounter's closed form.
+
+    Entry m is the cheaper exact cover of S = m or its complement, so
+    the table is symmetric under m <-> full ^ m; it is 0 at the empty
+    and the full set, where one side is empty.
+    """
     count = CoverCounter(t).count
     c = np.array([count(m) for m in range(1 << t.n)], dtype=np.uint8)
     # full ^ m == full - m: the reversed table holds the complements' counts
@@ -103,12 +94,14 @@ def poset_table(t: Tree) -> np.ndarray:
 def poset_bound(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> BoundValue:
     """Poset-structure exponent for T' covered through the poset of T."""
     perm = instance_perm(t, t_prime, perm)
+    count = CoverCounter(t).count
     full = t.full_mask
     best, best_mask = 1, None
     for m in doad_family(t_prime).masks:
         if m == full:
             continue
-        v = poset_min4(t, perm.pullback(m))
+        pm = perm.pullback(m)
+        v = min(count(pm), count(full ^ pm))
         if v > best:
             best, best_mask = v, m
     note = ""

@@ -28,11 +28,11 @@ n_full = 1; at the root the second term is 1 + D(S) and never wins.
 CoverCounter evaluates this one subset at a time from the tree alone
 and answers every cover query: cover_exponent always reads it, so it
 answers for every tree up to LEAF_CAP leaves, and the poset bound
-(bounds.poset_min4, bounds.poset_table) reads min(n_S, n_{S^c}) from
+(bounds.poset_bound, bounds.poset_table) reads min(n_S, n_{S^c}) from
 it.  The other route is build_cover_table, a layered BFS over all 2^n
-subsets that returns the counts array; it serves the exhaustive
-search's "cover" and "naive" kinds and is the tests' oracle for the
-closed form.
+subsets that returns the counts array; the exhaustive search reads its
+min and max sides per node (the "cover" and "naive" kinds), and it is
+the tests' oracle for the closed form.
 
 The containment exponent certificate for a pair (T, T') under a leaf
 permutation is then: for every internal node w of T', cover either the
@@ -187,8 +187,10 @@ class ExponentReport:
     cover_bound is the certified containment exponent: max over internal
     nodes of T' of the cheaper side's exact cover number, floored at 1
     (every leaf of T' needs one singleton).  naive_max is the larger
-    diagnostic that covers every pulled-back doad set individually
-    instead of choosing the cheaper side per node.
+    diagnostic that takes the dearer side per internal node,
+    max(n_desc, n_anti); that equals covering every pulled-back doad set
+    of T' individually, since each doad set is a side of some node and
+    both sides of a leaf need one set.
     """
 
     tree: str
@@ -245,7 +247,8 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
         per_node.append(NodeCover(t_prime.node_label(w), d_set, a_set, nd, na, chosen))
         bound = max(bound, min(nd, na))
 
-    naive = max(counter.count(perm.pullback(m)) for m in doad_family(t_prime).masks)
+    # a 1-leaf T' has no internal node; its one doad set needs one set
+    naive = max((max(nc.n_desc, nc.n_anti) for nc in per_node), default=1)
 
     witnesses = None
     if with_witnesses:

@@ -8,17 +8,20 @@ over the permutation axis.
 
 The pair loop runs target-outer.  For each target shape T' the pulled-back
 masks of its non-root internal node sets are computed once, straight from
-the permutation array, and reused for every covering shape T.  The cover
-value of an instance is the max over those nodes of min(n_d, n_a), the
-cheaper of covering the node's descendant set or its anti set; with
-full ^ m == full - m that minimum is the per-shape min-side table
-min(counts, counts[::-1]) read at the node's pulled-back mask.  The poset
-kind reads the same node columns: poset_min4 is symmetric under
-S <-> S^c and at most 1 on singletons, so its max over every nontrivial
-doad set of T' equals its max over the non-root internal descendant sets,
-floored at 1.  It still reads the closed-form poset table, never the
-cover tables, so the two kinds stay independent derivations.  The naive
-kind reads the raw cover table at every pulled-back doad set of T'.
+the permutation array, and every covering shape T and every kind reads
+them.  A node v of T' pulls back to a split S | S^c of T's leaves, and
+each kind is a symmetric function of the node's pair (n_S, n_{S^c}):
+cover and poset take the min (the cheaper side), naive the max.  Every
+doad set of T' is d(v) or a(v) = d(v)^c of some node v, so the max over
+the pulled-back doad sets of T' is a max over nodes, and the nodes left
+out give at most 1, which the floor below supplies: a leaf of T' pulls
+back to a singleton and a co-singleton (the anti set of a leaf of T),
+and the root's descendant set is the full set.  With full ^ m == full - m
+the pair's other side is the reversed table, so each kind is one
+per-shape table read at the node's descendant mask: cover is
+min(counts, counts[::-1]), naive is max(counts, counts[::-1]), and poset
+is the closed-form poset_table, which never reads the cover tables, so
+cover and poset stay independent derivations.
 
 Every value is at least 1 (a leaf of T' needs one singleton), so each
 lookup table is floored at 1 once, up front.  While 4^n <= PAIR_TABLE_CAP,
@@ -55,7 +58,7 @@ import numpy as np
 
 from .bounds import poset_table
 from .covers import build_cover_table
-from .trees import doad_family, enumerate_shapes
+from .trees import enumerate_shapes
 
 __all__ = ["SearchResult", "run_search", "write_results",
            "verify_against_reference", "DiffReport"]
@@ -145,10 +148,6 @@ def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
 def _node_masks(t) -> list:
     """Descendant sets of the non-root internal vertices (one for n >= 4)."""
     return [t.desc_masks[w] for w in t.internal if w != t.root]
-
-
-def _doad_masks(t) -> tuple:
-    return doad_family(t).masks
 
 
 def _lex_perms(n: int) -> np.ndarray:
@@ -247,27 +246,20 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
 
     counts = (np.array([build_cover_table(t) for t in shapes])
               if "cover" in kinds or "naive" in kinds else None)
-    # kind -> (per-shape tables, target shape -> masks whose pullbacks it reads)
-    plans = {"cover": lambda: (np.minimum(counts, counts[:, ::-1]), _node_masks),
-             "poset": lambda: (np.array([poset_table(t) for t in shapes]), _node_masks),
-             "naive": lambda: (counts, _doad_masks)}
+    # per kind, one table per shape of the node's pair (n_S, n_{S^c}); built on demand
+    per_shape = {"cover": lambda: np.minimum(counts, counts[:, ::-1]),
+                 "poset": lambda: np.array([poset_table(t) for t in shapes]),
+                 "naive": lambda: np.maximum(counts, counts[:, ::-1])}
     group = 2 if 4 ** n <= PAIR_TABLE_CAP else 1
-    plan = {}
-    for k in kinds:
-        tables, masks_of = plans[k]()
-        plan[k] = (_lookup_tables(tables, group), masks_of)
+    tables = {k: _lookup_tables(per_shape[k](), group) for k in kinds}
 
     data = {k: np.empty((len(shapes), len(shapes), len(perms)), dtype=np.uint8)
             for k in kinds}
     for j, target in enumerate(shapes):
-        cols = {}
-        for k, (tables, masks_of) in plan.items():
-            if masks_of not in cols:
-                cols[masks_of] = _pack_columns(
-                    _pullback_columns(leaf_bits, masks_of(target)), n, group)
-            idx = cols[masks_of]
-            tmp = np.empty(idx.shape, dtype=np.uint8)
-            for i, table in enumerate(tables):
+        idx = _pack_columns(_pullback_columns(leaf_bits, _node_masks(target)), n, group)
+        tmp = np.empty(idx.shape, dtype=np.uint8)
+        for k, kind_tables in tables.items():
+            for i, table in enumerate(kind_tables):
                 # indices are in range, so "wrap" only skips take's buffered bounds check
                 np.take(table, idx, out=tmp, mode="wrap")
                 tmp.max(axis=0, out=data[k][i, j])

@@ -9,7 +9,6 @@ from tnexp.bounds import (
     height_bound_tt,
     plane_general_bound,
     poset_bound,
-    poset_min4,
     poset_table,
     trivial_bound,
 )
@@ -57,37 +56,22 @@ def test_poset_ht2_tt4():
     assert poset_bound(build_ht(2), build_tt(4)).value == 1
 
 
-def test_poset_min4_trivial_masks_rejected():
-    t = build_ht(2)
-    with pytest.raises(ValueError):
-        poset_min4(t, 0)
-    with pytest.raises(ValueError):
-        poset_min4(t, t.full_mask)
-
-
 def test_poset_min4_sound_and_complement_symmetric():
     # each of the four terms counts an actual covering of the subset or
     # its complement, so the minimum can never undercut the exact covers
     for n in range(2, 7):
         for t in enumerate_shapes(n):
             brute = brute_cover_table(t)
+            table = poset_table(t)
             full = t.full_mask
             for mask in range(1, full):
-                v = poset_min4(t, mask)
-                assert v >= min(brute[mask], brute[full ^ mask])
-                assert v == poset_min4(t, full ^ mask)
-
-
-def test_poset_table_matches_pointwise():
-    t = parse_tree(NOT_SHARP_A)
-    table = poset_table(t)
-    for mask in range(1, t.full_mask):
-        assert table[mask] == poset_min4(t, mask)
-    assert table[0] == 0 and table[t.full_mask] == 0
+                assert table[mask] >= min(brute[mask], brute[full ^ mask])
+                assert table[mask] == table[full ^ mask]
 
 
 def _poset_min4_by_labels(t, mask):
-    """The path-label form of poset_min4: ancestry is a label prefix."""
+    """min(n_S, n_{S^c}) as the min of four poset coverings, over path
+    labels: ancestry is a label prefix."""
     def maxima(vids):
         labset = {t.labels[v] for v in vids}
         return sum(1 for lab in labset
@@ -114,8 +98,9 @@ def _poset_min4_by_labels(t, mask):
 def test_poset_min4_matches_label_formula():
     for n in range(2, 11):
         for t in enumerate_shapes(n):
+            table = poset_table(t)
             for mask in range(1, t.full_mask):
-                assert poset_min4(t, mask) == _poset_min4_by_labels(t, mask), (t, mask)
+                assert table[mask] == _poset_min4_by_labels(t, mask), (t, mask)
 
 
 def test_poset_table_is_min_of_exact_covers():

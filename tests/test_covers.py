@@ -14,6 +14,7 @@ from tnexp.covers import (
 from tnexp.ilp import build_ip, solve_ip
 from tnexp.trees import (
     Permutation,
+    Tree,
     all_permutations,
     build_ht,
     build_tt,
@@ -122,6 +123,11 @@ def test_ht2_into_tt4_identity():
     rep = cover_exponent(build_ht(2), build_tt(4))
     assert rep.cover_bound == 1
     assert rep.naive_max == 1
+
+
+def test_one_leaf_naive_max_is_one():
+    # a 1-leaf T' has no internal node; its one doad set needs one set
+    assert cover_exponent(Tree("."), Tree(".")).naive_max == 1
 
 
 def test_self_instances_are_one():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnexp.covers import CoverCounter, build_cover_table, cover_exponent
+from tnexp.ilp import build_ip, solve_ip
 from tnexp.trees import Permutation, parse_tree
 
 BOUNDED = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -63,3 +64,12 @@ def test_counter_matches_bfs_table(t):
     table = build_cover_table(t)
     count = CoverCounter(t).count
     assert [count(m) for m in range(1 << t.n)] == table.tolist()
+
+
+@BOUNDED
+@given(trees().flatmap(lambda t: st.tuples(st.just(t), trees(t.n, t.n), perms(t.n))))
+def test_ip_optimum_equals_cover_bound(case):
+    t, t_prime, perm = case
+    # the integer program and the closed-form cover numbers are independent routes
+    assert solve_ip(build_ip(t, t_prime, perm)).objective == \
+        cover_exponent(t, t_prime, perm).cover_bound

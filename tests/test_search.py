@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tnexp.covers import cover_exponent
+from tnexp.covers import build_cover_table, cover_exponent
 from tnexp import search
 from tnexp.bounds import poset_bound
 from tnexp.search import (
@@ -17,7 +17,7 @@ from tnexp.search import (
     verify_against_reference,
     write_results,
 )
-from tnexp.trees import Permutation, all_permutations, enumerate_shapes
+from tnexp.trees import Permutation, all_permutations, doad_family, enumerate_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,29 @@ def test_search_n4_counts_and_values():
     assert set(np.unique(everything)) == {1, 2}
 
 
+def _naive_by_definition(counts, t_prime, perm):
+    """The naive kind as defined: n over every pulled-back doad set of T', maximized.
+
+    The search and naive_max both read max(n_S, n_{S^c}) per node of T';
+    this reads the doad sets one by one instead.
+    """
+    return max(int(counts[perm.pullback(m)]) for m in doad_family(t_prime).masks)
+
+
+def test_naive_matches_its_definition_on_every_small_instance():
+    for n in range(2, 6):
+        shapes = enumerate_shapes(n)
+        res = run_search(n, kinds=("naive",)) if n >= 4 else None
+        for (i, t), (j, t2) in itertools.product(enumerate(shapes), repeat=2):
+            counts = build_cover_table(t)
+            for p, perm in enumerate(all_permutations(n)):
+                want = _naive_by_definition(counts, t2, perm)
+                assert cover_exponent(t, t2, perm).naive_max == want, (t, t2, perm)
+                if res is not None:
+                    assert res.perms[p] == perm.one_line()
+                    assert res.values("naive", i, j)[p] == want, (t, t2, perm)
+
+
 def test_search_matches_direct_evaluation():
     # n <= 9 reads pair tables (n = 9 has an odd node count, so its last
     # column pairs with the empty mask); n = 10 reads one node per lookup
@@ -66,7 +89,8 @@ def test_search_matches_direct_evaluation():
             perm = Permutation.from_text(res.perms[p], n)
             rep = cover_exponent(shapes[i], shapes[j], perm)
             assert res.values("cover", i, j)[p] == rep.cover_bound, (n, i, j, res.perms[p])
-            assert res.values("naive", i, j)[p] == rep.naive_max, (n, i, j, res.perms[p])
+            naive = _naive_by_definition(build_cover_table(shapes[i]), shapes[j], perm)
+            assert res.values("naive", i, j)[p] == rep.naive_max == naive, (n, i, j, res.perms[p])
             assert (res.values("poset", i, j)[p]
                     == poset_bound(shapes[i], shapes[j], perm).value), (n, i, j, res.perms[p])
 
