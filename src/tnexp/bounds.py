@@ -6,10 +6,12 @@ are upper bounds for the exact cover number:
 * trivial: floor(n/2), from covering the smaller side of every split by
   singletons;
 * poset: per target doad set S, min(n_S, n_{S^c}), the cheaper exact
-  cover of S or its complement.  n_S is read from covers.CoverCounter,
-  which owns its closed form over the ancestor/descendant poset of the
-  covering tree and the proof that it is exact (covers module
-  docstring), so the poset bound equals the cover bound;
+  cover of S or its complement.  n_S is covers.CoverCounter's closed
+  form over the ancestor/descendant poset of the covering tree, exact
+  by the covers module docstring, so the poset bound equals the cover
+  bound: poset_bound reads cover_exponent's per-node pairs, and
+  poset_table tabulates the closed form for the search's `poset` kind,
+  a route independent of the BFS cover tables;
 * heights: a plane tree embeds into the same-width comb tree with
   exponent 1 + max_l min(h_l, h*_{l+1}), where h counts the 1s before
   the final 0 of a leaf's path label and h* dually;
@@ -25,16 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .covers import CoverCounter
-from .trees import (
-    Permutation,
-    Tree,
-    build_tt,
-    doad_family,
-    heights,
-    instance_perm,
-    leaves_of_mask,
-)
+from .covers import CoverCounter, cover_exponent
+from .trees import Permutation, Tree, build_tt, heights, leaves_of_mask
 
 __all__ = [
     "BoundValue",
@@ -92,22 +86,21 @@ def poset_table(t: Tree) -> np.ndarray:
 
 
 def poset_bound(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> BoundValue:
-    """Poset-structure exponent for T' covered through the poset of T."""
-    perm = instance_perm(t, t_prime, perm)
-    count = CoverCounter(t).count
-    full = t.full_mask
-    best, best_mask = 1, None
-    for m in doad_family(t_prime).masks:
-        if m == full:
-            continue
-        pm = perm.pullback(m)
-        v = min(count(pm), count(full ^ pm))
-        if v > best:
-            best, best_mask = v, m
-    note = ""
-    if best_mask is not None:
-        note = f"attained at target doad set {set(leaves_of_mask(best_mask))}"
-    return BoundValue(kind="poset", value=best, source=t.text,
+    """Poset-structure exponent for T' covered through the poset of T.
+
+    Its value is cover_exponent's cover_bound: per internal node of T',
+    min(n_S, n_{S^c}) of the pulled-back split.  The note names the
+    target doad set of smallest mask among those attaining a value above
+    1; both sides of a node attain its value, so that is min(d, full ^ d)
+    over the nodes attaining the max.
+    """
+    report = cover_exponent(t, t_prime, perm)
+    full = t_prime.full_mask
+    desc = (t_prime.desc_masks[w] for w in t_prime.internal)
+    hits = [min(d, full ^ d) for d, nc in zip(desc, report.per_node)
+            if nc.value == report.cover_bound > 1]
+    note = f"attained at target doad set {set(leaves_of_mask(min(hits)))}" if hits else ""
+    return BoundValue(kind="poset", value=report.cover_bound, source=t.text,
                       target=t_prime.text, note=note)
 
 

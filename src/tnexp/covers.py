@@ -26,10 +26,11 @@ sets of v, and D(X) for the number of maximal descendant sets inside X.
 Hence n_S = min(D(S), 1 + D(S & d(lca(S^c)))), with n_0 = 0 and
 n_full = 1; at the root the second term is 1 + D(S) and never wins.
 CoverCounter evaluates this one subset at a time from the tree alone
-and answers every cover query: cover_exponent always reads it, so it
-answers for every tree up to LEAF_CAP leaves, and the poset bound
-(bounds.poset_bound, bounds.poset_table) reads min(n_S, n_{S^c}) from
-it.  The other route is build_cover_table, a layered BFS over all 2^n
+and answers every single-instance cover query: cover_exponent reads
+it, so it answers for every tree up to LEAF_CAP leaves, and
+bounds.poset_bound reads cover_exponent's per-node pairs instead of
+counting again.  bounds.poset_table tabulates min(n_S, n_{S^c}) from
+it for the search's "poset" kind.  The other route is build_cover_table, a layered BFS over all 2^n
 subsets that returns the counts array; the exhaustive search reads its
 min and max sides per node (the "cover" and "naive" kinds), and it is
 the tests' oracle for the closed form.

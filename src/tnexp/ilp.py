@@ -20,10 +20,11 @@ leaf nodes of T' are singletons and are folded into the explicit bound
 c >= 1 instead of per-leaf rows.
 
 Row groups, in order: side choice per node; leaf covering rows for the
-descendant sides, then the anti sides; cardinality rows per node for
-each side; the c floor.  The LP text uses Minimize / Subject To /
-Binary / End sections; c stays continuous since it is integral at any
-optimum over binary x, y, z.
+descendant sides, then the anti sides; cardinality rows for the
+descendant sides, then the anti sides; the c floor.  Each group runs
+over the internal nodes of T' in vertex order.  The LP text uses
+Minimize / Subject To / Binary / End sections; c stays continuous since
+it is integral at any optimum over binary x, y, z.
 
 The solver does not touch the subset tables: per node and side it runs
 a small exact branch-and-bound (greedy upper bound, counting lower
@@ -39,6 +40,8 @@ from typing import Optional
 from .trees import Permutation, Tree, instance_perm, leaves_of_mask
 
 __all__ = ["IpRow", "IpModel", "IpSolution", "build_ip", "solve_ip", "export_lp"]
+
+_TAGS = {"desc": "u", "anti": "o"}    # side -> variable and row name tag
 
 
 @dataclass(frozen=True)
@@ -91,66 +94,44 @@ def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpMo
     """Assemble the integer program for covering T' by doad sets of T."""
     perm = instance_perm(t, t_prime, perm)
     full = t.full_mask
-    nodes = [w for w in t_prime.internal]
+    # T's doad sets in registration order: per vertex x (descendant) before
+    # y (anti); the root has no anti-descendant set
+    doads = [(prefix, t.node_label(v), m) for v in range(t.size)
+             for prefix, m in (("x", t.desc_masks[v]), ("y", t.anti_mask(v))) if m]
 
     variables: list[str] = []
     fixed_zero: list[str] = []
     node_sides: dict = {}
-    cover_rows_u: list[IpRow] = []
-    cover_rows_o: list[IpRow] = []
-    choose_rows: list[IpRow] = []
-    card_rows_u: list[IpRow] = []
-    card_rows_o: list[IpRow] = []
-
-    for w in nodes:
+    for w in t_prime.internal:
         wl = t_prime.node_label(w)
         d_target = perm.pullback(t_prime.desc_masks[w])
-        targets = {"desc": d_target, "anti": full ^ d_target}
-        sides = {}
-        for side, prefix_x, prefix_y, z_name in (
-                ("desc", "xu", "yu", f"zu_{wl}"),
-                ("anti", "xo", "yo", f"zo_{wl}")):
-            target = targets[side]
-            cands = []
-            for v in range(t.size):
-                vl = t.node_label(v)
-                for prefix, set_mask in ((prefix_x, t.desc_masks[v]),
-                                         (prefix_y, t.anti_mask(v))):
-                    if not set_mask:
-                        continue    # the root has no anti-descendant set
-                    name = f"{prefix}_{wl}_{vl}"
-                    if set_mask & ~target:
-                        fixed_zero.append(name)
-                    else:
-                        cands.append((name, set_mask))
-            sides[side] = (target, tuple(cands))
-
-            variables.append(z_name)
-            variables.extend(name for name, _ in cands)
-
-            # one covering row per leaf of the target side
-            for leaf in leaves_of_mask(target):
-                bit = 1 << (leaf - 1)
-                terms = tuple((1, name) for name, m in cands if m & bit)
-                terms += ((-1, z_name),)
-                tag = "u" if side == "desc" else "o"
-                cover_rows = cover_rows_u if side == "desc" else cover_rows_o
-                cover_rows.append(IpRow(f"cover_{tag}_{wl}_{leaf}", terms, ">=", 0))
-
-        node_sides[wl] = sides
-        choose_rows.append(IpRow(f"choose_{wl}",
-                                 ((1, f"zu_{wl}"), (1, f"zo_{wl}")), ">=", 1))
-        for side, tag, card_rows in (("desc", "u", card_rows_u),
-                                     ("anti", "o", card_rows_o)):
-            terms = tuple((1, name) for name, _ in node_sides[wl][side][1])
-            card_rows.append(IpRow(f"card_{tag}_{wl}", terms + ((-1, "c"),), "<=", 0))
-
+        sides = node_sides[wl] = {}
+        for side, tag in _TAGS.items():
+            target = d_target if side == "desc" else full ^ d_target
+            named = [(f"{prefix}{tag}_{wl}_{vl}", m) for prefix, vl, m in doads]
+            fixed_zero += [name for name, m in named if m & ~target]
+            cands = tuple((name, m) for name, m in named if not m & ~target)
+            sides[side] = (target, cands)
+            variables += [f"z{tag}_{wl}", *(name for name, _ in cands)]
     variables.append("c")
-    rows = (tuple(choose_rows) + tuple(cover_rows_u) + tuple(cover_rows_o)
-            + tuple(card_rows_u) + tuple(card_rows_o)
-            + (IpRow("c_min", ((1, "c"),), ">=", 1),))
+
+    rows = [IpRow(f"choose_{wl}", ((1, f"zu_{wl}"), (1, f"zo_{wl}")), ">=", 1)
+            for wl in node_sides]
+    for side, tag in _TAGS.items():
+        # one covering row per leaf of the target side
+        rows += [IpRow(f"cover_{tag}_{wl}_{leaf}",
+                       tuple((1, name) for name, m in cands if m >> (leaf - 1) & 1)
+                       + ((-1, f"z{tag}_{wl}"),), ">=", 0)
+                 for wl, sides in node_sides.items()
+                 for target, cands in (sides[side],)
+                 for leaf in leaves_of_mask(target)]
+    for side, tag in _TAGS.items():
+        rows += [IpRow(f"card_{tag}_{wl}",
+                       tuple((1, name) for name, _ in sides[side][1]) + ((-1, "c"),), "<=", 0)
+                 for wl, sides in node_sides.items()]
+    rows.append(IpRow("c_min", ((1, "c"),), ">=", 1))
     return IpModel(tree=t.text, tree_prime=t_prime.text, perm=perm.one_line(),
-                   variables=tuple(variables), rows=rows,
+                   variables=tuple(variables), rows=tuple(rows),
                    fixed_zero=tuple(fixed_zero), node_sides=node_sides)
 
 
@@ -161,7 +142,7 @@ def _greedy_cover(cands: tuple, target: int) -> list:
     chosen = []
     uncovered = target
     while uncovered:
-        best = max(cands, key=lambda c: (bin(c[1] & uncovered).count("1"), c[1]))
+        best = max(cands, key=lambda c: ((c[1] & uncovered).bit_count(), c[1]))
         if not best[1] & uncovered:
             raise RuntimeError("target side not coverable; singleton sets missing")
         chosen.append(best[1])
@@ -180,7 +161,7 @@ def _min_cover_bnb(cands: tuple, target: int):
     masks = sorted({m for _, m in cands})
     best_sol = _greedy_cover(cands, target)
     best = len(best_sol)
-    max_size = max(bin(m).count("1") for m in masks)
+    max_size = max(m.bit_count() for m in masks)
     by_bit: dict[int, list] = {}
     for m in masks:
         low = 1
@@ -198,7 +179,7 @@ def _min_cover_bnb(cands: tuple, target: int):
                 best = depth
                 best_sol = list(chosen)
             return
-        need = -(-bin(uncovered).count("1") // max_size)
+        need = -(-uncovered.bit_count() // max_size)
         if depth + need >= best:
             return
         low = uncovered & -uncovered
@@ -231,7 +212,7 @@ def solve_ip(model: IpModel) -> IpSolution:
         objective = max(objective, count)
         per_node[wl] = {"side": side, "count": count, "cover": masks}
 
-        assignment[f"z{'u' if side == 'desc' else 'o'}_{wl}"] = 1
+        assignment[f"z{_TAGS[side]}_{wl}"] = 1
         target, cands = sides[side]
         by_mask: dict[int, str] = {}
         for name, m in cands:

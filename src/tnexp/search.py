@@ -344,16 +344,21 @@ class DiffReport:
 
 
 def _rows(path, column_map):
-    """Yield (order, key, bounds) per CSV row; order must strictly increase."""
+    """Yield the header's bound columns (ours -> theirs), then (order, key,
+    bounds) per CSV row; order must strictly increase."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            ours = {column_map.get(c, c): c for c in KEY_COLUMNS + tuple(CSV_COLUMNS.values())}
+            names = KEY_COLUMNS + tuple(CSV_COLUMNS.values())
+            # a renamed column answers only to its new name
+            ours = {c: c for c in names if c not in column_map}
+            ours.update((column_map[c], c) for c in names if c in column_map)
             col = {ours[h]: i for i, h in enumerate(header) if h in ours}
             bounds = [(c, col[c]) for c in CSV_COLUMNS.values() if c in col]
             if not bounds or any(c not in col for c in KEY_COLUMNS):
                 raise ValueError(f"header needs {', '.join(KEY_COLUMNS)} and a bound column")
+            yield {c: header[i] for c, i in bounds}
             last = ()
             for row in filter(None, reader):
                 if len(row) != len(header):
@@ -371,10 +376,19 @@ def _rows(path, column_map):
 def verify_against_reference(ours_path, reference_path, adapter=None) -> DiffReport:
     """Diff two per-instance CSVs, each in the writer's key order, in one merge pass.
 
-    Only bound columns present in both files are compared.  `adapter` maps our
-    column names to the reference's, e.g. {"cover_bound": "exponent"}.
+    Only bound columns present in both files are compared, and at least one
+    must be.  `adapter` maps our column names to the reference's, e.g.
+    {"cover_bound": "exponent"}; a renamed column is read only under its new
+    name, and no two entries may name the same reference column.
     """
-    ours, theirs = _rows(ours_path, {}), _rows(reference_path, adapter or {})
+    adapter = adapter or {}
+    if len(set(adapter.values())) < len(adapter):
+        raise ValueError("adapter names one reference column twice")
+    ours, theirs = _rows(ours_path, {}), _rows(reference_path, adapter)
+    mine, ref = next(ours), next(theirs)
+    if not mine.keys() & ref.keys():
+        raise ValueError(f"no bound column in common: ours has {', '.join(mine.values())}, "
+                         f"the reference has {', '.join(ref.values())}")
     end = ((math.inf,), None, None)
     a, b = next(ours, end), next(theirs, end)
     mismatches, only_ours, only_theirs, compared = [], [], [], 0

@@ -38,6 +38,18 @@ def brute_cover_table(t: Tree) -> list[int]:
     return dist
 
 
+def random_tree(rng, n: int) -> Tree:
+    """A seeded random tree on n leaves: each internal node splits off
+    1..k-1 of its k leaves uniformly."""
+    def text(k: int) -> str:
+        if k == 1:
+            return "."
+        a = rng.randint(1, k - 1)
+        return "(" + text(a) + text(k - a) + ")"
+
+    return Tree(text(n))
+
+
 def wedderburn_etherington(n: int) -> int:
     """Number of unordered full binary trees with n leaves, by the
     classic split recurrence."""

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from conftest import EIGHT_LEAVES, NOT_SHARP_A, brute_cover_table
+from conftest import EIGHT_LEAVES, NOT_SHARP_A, brute_cover_table, random_tree
 from tnexp.bounds import (
     compose_exponents,
     height_bound_tt,
@@ -12,14 +13,17 @@ from tnexp.bounds import (
     poset_table,
     trivial_bound,
 )
-from tnexp.covers import build_cover_table, cover_exponent
+from tnexp.covers import CoverCounter, build_cover_table, cover_exponent
 from tnexp.trees import (
+    Permutation,
     all_permutations,
     build_ht,
     build_tt,
+    doad_family,
     enumerate_plane_trees,
     enumerate_shapes,
     heights,
+    instance_perm,
     leaves_of_mask,
     parse_tree,
 )
@@ -56,7 +60,57 @@ def test_poset_ht2_tt4():
     assert poset_bound(build_ht(2), build_tt(4)).value == 1
 
 
-def test_poset_min4_sound_and_complement_symmetric():
+def _poset_bound_by_doad_scan(t, t_prime, perm=None):
+    """(value, note) of the poset bound by scanning every doad set of T'
+    in ascending mask order, the full set skipped, keeping the first that
+    attains the max of min(n_S, n_{S^c}) over its pullback."""
+    perm = instance_perm(t, t_prime, perm)
+    count = CoverCounter(t).count
+    full = t.full_mask
+    best, best_mask = 1, None
+    for m in doad_family(t_prime).masks:
+        if m == full:
+            continue
+        pm = perm.pullback(m)
+        v = min(count(pm), count(full ^ pm))
+        if v > best:
+            best, best_mask = v, m
+    note = ""
+    if best_mask is not None:
+        note = f"attained at target doad set {set(leaves_of_mask(best_mask))}"
+    return best, note
+
+
+def _check_against_doad_scan(t, t_prime, perm):
+    b = poset_bound(t, t_prime, perm)
+    assert (b.value, b.note) == _poset_bound_by_doad_scan(t, t_prime, perm), \
+        (t.text, t_prime.text, perm.one_line())
+
+
+def test_poset_bound_matches_doad_scan_on_every_small_instance():
+    for n in range(2, 6):
+        shapes = enumerate_shapes(n)
+        perms = list(all_permutations(n))
+        for t, t2 in itertools.product(shapes, repeat=2):
+            for perm in perms:
+                _check_against_doad_scan(t, t2, perm)
+
+
+def test_poset_bound_matches_doad_scan_on_seeded_instances():
+    rng = random.Random(5)
+    notes = 0
+    for n in range(6, 33):
+        for _ in range(12):
+            t, t2 = random_tree(rng, n), random_tree(rng, n)
+            perm = Permutation(rng.sample(range(1, n + 1), n))
+            _check_against_doad_scan(t, t2, perm)
+            notes += bool(poset_bound(t, t2, perm).note)
+        # a self pair under the identity: value 1, empty note
+        _check_against_doad_scan(t, t, Permutation.identity(n))
+    assert notes == 27 * 12     # every random draw has a node needing 2 sets
+
+
+def test_poset_table_sound_and_complement_symmetric():
     # each of the four terms counts an actual covering of the subset or
     # its complement, so the minimum can never undercut the exact covers
     for n in range(2, 7):
@@ -69,7 +123,7 @@ def test_poset_min4_sound_and_complement_symmetric():
                 assert table[mask] == table[full ^ mask]
 
 
-def _poset_min4_by_labels(t, mask):
+def _min_side_cover_by_labels(t, mask):
     """min(n_S, n_{S^c}) as the min of four poset coverings, over path
     labels: ancestry is a label prefix."""
     def maxima(vids):
@@ -95,12 +149,12 @@ def _poset_min4_by_labels(t, mask):
                maxima([v for v in in_c if t.labels[v].startswith(lca_s)]) + 1)
 
 
-def test_poset_min4_matches_label_formula():
+def test_poset_table_matches_label_formula():
     for n in range(2, 11):
         for t in enumerate_shapes(n):
             table = poset_table(t)
             for mask in range(1, t.full_mask):
-                assert table[mask] == _poset_min4_by_labels(t, mask), (t, mask)
+                assert table[mask] == _min_side_cover_by_labels(t, mask), (t, mask)
 
 
 def test_poset_table_is_min_of_exact_covers():

@@ -147,6 +147,50 @@ def test_check_reference_bad_input_exits_2(capsys, tmp_path, edit):
         assert err.startswith(f"error: {bad}:") and err.split(":")[2].isdigit(), err
 
 
+@pytest.fixture(scope="module")
+def cover_and_naive_n5(tmp_path_factory):
+    """n = 5 search CSVs of the cover kind and of the naive kind alone."""
+    d = tmp_path_factory.mktemp("n5")
+    for kind in ("cover", "naive"):
+        assert main(["search", "--n", "5", "--kinds", kind,
+                     "--csv", str(d / f"{kind}.csv")]) == 0
+    return d / "cover.csv", d / "naive.csv"
+
+
+def test_check_reference_without_shared_bound_exits_2(capsys, cover_and_naive_n5):
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "check-reference", *map(str, cover_and_naive_n5))
+    assert code == 2 and not out
+    assert err == ("error: no bound column in common: ours has cover_bound, "
+                   "the reference has naive_max_bound\n")
+
+
+def test_check_reference_adapter_takes_precedence(capsys, tmp_path, cover_and_naive_n5):
+    # the reference's naive_max_bound is read as our cover_bound, not as
+    # its own unrenamed column
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text('{"cover_bound": "naive_max_bound"}')
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "check-reference", *map(str, cover_and_naive_n5),
+                           "--adapter", str(adapter))
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    assert payload["compared"] == 1080
+    assert len(payload["mismatches"]) == 720
+    assert {m[1] for m in payload["mismatches"]} == {"cover_bound"}
+
+
+def test_check_reference_adapter_naming_one_column_twice_exits_2(capsys, tmp_path,
+                                                                  cover_and_naive_n5):
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text('{"cover_bound": "naive_max_bound", "poset_bound": "naive_max_bound"}')
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "check-reference", *map(str, cover_and_naive_n5),
+                             "--adapter", str(adapter))
+    assert code == 2 and not out
+    assert err == "error: adapter names one reference column twice\n"
+
+
 def test_error_paths(capsys):
     code, _, err = run_cli(capsys, "exponent", "((..)", "tt:4")
     assert code == 2 and err.startswith("error:")

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import json
+import random
 
 import numpy as np
 import pytest
 
+from conftest import random_tree
 from tnexp.covers import cover_exponent
 from tnexp.ilp import build_ip, export_lp, solve_ip
 from tnexp.trees import (
@@ -232,6 +236,26 @@ def test_export_deterministic(tmp_path):
     export_lp(model, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text() == export_lp(model)
+
+
+# sha256 over the LP text, model dict, node_sides and solution dict of
+# the seeded model set below; any change to names, row order or the
+# optimal cover found shows here
+IP_BYTES_SHA256 = "6c505ddebad6fdd0edf451ada355d8d3b2d0f544a80429419d06e11bf55f2da5"
+
+
+def test_ip_bytes_pinned():
+    rng = random.Random(20)
+    h = hashlib.sha256()
+    for n in range(2, 21):
+        for _ in range(5):
+            t, t2 = random_tree(rng, n), random_tree(rng, n)
+            model = build_ip(t, t2, Permutation(rng.sample(range(1, n + 1), n)))
+            h.update(export_lp(model).encode())
+            h.update(json.dumps(model.to_dict()).encode())
+            h.update(repr(model.node_sides).encode())
+            h.update(json.dumps(solve_ip(model).to_dict()).encode())
+    assert h.hexdigest() == IP_BYTES_SHA256
 
 
 def _parse_lp(text):
