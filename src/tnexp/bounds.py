@@ -10,8 +10,7 @@ are upper bounds for the exact cover number:
   form over the ancestor/descendant poset of the covering tree, exact
   by the covers module docstring, so the poset bound equals the cover
   bound: poset_bound reads cover_exponent's per-node pairs, and
-  poset_table tabulates the closed form for the search's `poset` kind,
-  a route independent of the BFS cover tables;
+  poset_table tabulates the closed form as the tests' oracle;
 * heights: a plane tree embeds into the same-width comb tree with
   exponent 1 + max_l min(h_l, h*_{l+1}), where h counts the 1s before
   the final 0 of a leaf's path label and h* dually;
@@ -77,7 +76,8 @@ def poset_table(t: Tree) -> np.ndarray:
 
     Entry m is the cheaper exact cover of S = m or its complement, so
     the table is symmetric under m <-> full ^ m; it is 0 at the empty
-    and the full set, where one side is empty.
+    and the full set, where one side is empty.  The tests' oracle for
+    the BFS tables that the search reads for its `poset` kind.
     """
     count = CoverCounter(t).count
     c = np.array([count(m) for m in range(1 << t.n)], dtype=np.uint8)

@@ -60,8 +60,8 @@ def _cmd_exponent(args) -> int:
     t, t2 = _tree_arg(args.tree_a), _tree_arg(args.tree_b)
     perm = Permutation.from_text(args.perm, t.n)
     report = covers.cover_exponent(t, t2, perm, with_witnesses=args.witnesses)
-    extra = {"trivial": bounds_mod.trivial_bound(t.n).value,
-             "poset": bounds_mod.poset_bound(t, t2, perm).value}
+    # poset_bound's value is cover_bound: read it rather than walk T' again
+    extra = {"trivial": bounds_mod.trivial_bound(t.n).value, "poset": report.cover_bound}
     if perm.is_identity():
         extra["plane_general"] = bounds_mod.plane_general_bound(t).value
         if t2 == build_tt(t.n):
@@ -100,7 +100,7 @@ def _cmd_bounds(args) -> int:
         t2 = _tree_arg(args.probe)
         perm = Permutation.from_text(args.perm, t.n)
         payload["poset"] = bounds_mod.poset_bound(t, t2, perm).to_dict()
-        payload["cover"] = covers.cover_exponent(t, t2, perm).cover_bound
+        payload["cover"] = payload["poset"]["value"]   # poset_bound's value is cover_bound
 
     def lines(p):
         out = [f"tree: {p['tree']}", f"h : {p['heights']}", f"h*: {p['dual_heights']}"]

@@ -26,14 +26,13 @@ sets of v, and D(X) for the number of maximal descendant sets inside X.
 Hence n_S = min(D(S), 1 + D(S & d(lca(S^c)))), with n_0 = 0 and
 n_full = 1; at the root the second term is 1 + D(S) and never wins.
 CoverCounter evaluates this one subset at a time from the tree alone
-and answers every single-instance cover query: cover_exponent reads
-it, so it answers for every tree up to LEAF_CAP leaves, and
-bounds.poset_bound reads cover_exponent's per-node pairs instead of
-counting again.  bounds.poset_table tabulates min(n_S, n_{S^c}) from
-it for the search's "poset" kind.  The other route is build_cover_table, a layered BFS over all 2^n
-subsets that returns the counts array; the exhaustive search reads its
-min and max sides per node (the "cover" and "naive" kinds), and it is
-the tests' oracle for the closed form.
+and answers every single-instance cover query up to LEAF_CAP leaves:
+cover_exponent reads it, and bounds.poset_bound reads cover_exponent.
+The other route is build_cover_table, a layered BFS over all 2^n
+subsets that returns the counts array.  The search reads its min side
+per node for the "cover" and (equal by the closed form) "poset" kinds
+and its max side for "naive".  The tests check the two routes against
+each other, with bounds.poset_table as the closed form.
 
 The containment exponent certificate for a pair (T, T') under a leaf
 permutation is then: for every internal node w of T', cover either the

@@ -17,11 +17,10 @@ the pulled-back doad sets of T' is a max over nodes, and the nodes left
 out give at most 1, which the floor below supplies: a leaf of T' pulls
 back to a singleton and a co-singleton (the anti set of a leaf of T),
 and the root's descendant set is the full set.  With full ^ m == full - m
-the pair's other side is the reversed table, so each kind is one
-per-shape table read at the node's descendant mask: cover is
-min(counts, counts[::-1]), naive is max(counts, counts[::-1]), and poset
-is the closed-form poset_table, which never reads the cover tables, so
-cover and poset stay independent derivations.
+the pair's other side is the reversed BFS table, so a kind's side
+function of (counts, counts[::-1]) is one per-shape table read at the
+node's descendant mask.  poset equals cover by the covers docstring's
+theorem, so each distinct side is evaluated once for all its kinds.
 
 Every value is at least 1 (a leaf of T' needs one singleton), so each
 lookup table is floored at 1 once, up front.  While 4^n <= PAIR_TABLE_CAP,
@@ -32,7 +31,7 @@ to 1), and an instance costs one lookup per two nodes.  Above that each
 node is its own lookup.
 
 Results are kept as one uint8 array of shape (shapes, shapes, perms) per
-kind, with permutations in lexicographic order, so the aggregates and
+side, with permutations in lexicographic order, so the aggregates and
 serializations below are deterministic.  The CSV holds one row per
 instance (at n = 8 that is 21.3M rows, around 2 GB -- request it
 deliberately); the JSON summary carries the shape list, per-pair
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import poset_table
+from .bounds import poset_table  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
 from .covers import build_cover_table
 from .trees import enumerate_shapes
 
@@ -67,9 +66,11 @@ FULL_SEARCH_CAP = 8       # n! blow-up; larger n must sample permutations
 SAMPLED_SEARCH_CAP = 12
 INSTANCE_CAP = 1 << 30    # instances per kind array (1 GiB of uint8); full n = 9 fits
 PAIR_TABLE_CAP = 1 << 18  # entries per pair table (256 KiB of uint8): n <= 9
-KINDS = ("cover", "poset", "naive")
+SIDES = {"cover": np.minimum, "poset": np.minimum, "naive": np.maximum}  # per node pair
+KINDS = tuple(SIDES)
 KEY_COLUMNS = ("n", "shape_a", "shape_b", "perm_oneline")
 CSV_COLUMNS = {"cover": "cover_bound", "poset": "poset_bound", "naive": "naive_max_bound"}
+COLUMNS = KEY_COLUMNS + tuple(CSV_COLUMNS.values())
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,9 @@ class SearchResult:
     """Per-instance bound values for all (shape, shape, perm) instances.
 
     data[kind] is a uint8 array of shape (shapes, shapes, perms), with the
-    permutation axis in the lexicographic order of `perms`.  The arrays
-    are never written after run_search, so each kind's aggregate and
-    digest are computed once and then served from `_memo`.
+    permutation axis in the lexicographic order of `perms`; kinds with one
+    side share an array.  Arrays are never written after run_search, so
+    each array's aggregate and digest are computed once, then read from `_memo`.
     """
 
     n: int
@@ -99,9 +100,9 @@ class SearchResult:
 
     def aggregate(self, kind: str) -> dict:
         """Per-pair min/max/histogram over the permutation axis."""
-        if ("aggregate", kind) in self._memo:
-            return self._memo["aggregate", kind]
         arr = self.data[kind]
+        if ("aggregate", id(arr)) in self._memo:
+            return self._memo["aggregate", id(arr)]
         mins, maxs = arr.min(axis=2), arr.max(axis=2)
         # counts[i, j, v] = #perms with value v, one row of pairs at a time
         # (popcounts of the packed equality bits; temporaries stay small)
@@ -115,14 +116,15 @@ class SearchResult:
                                        counts.reshape(-1, counts.shape[2]).tolist()):
             out[(i, j)] = {"min": lo, "max": hi,
                            "histogram": {v: c for v, c in enumerate(row) if c}}
-        self._memo["aggregate", kind] = out
+        self._memo["aggregate", id(arr)] = out
         return out
 
     def digest(self, kind: str) -> str:
-        if ("digest", kind) not in self._memo:
+        arr = self.data[kind]
+        if ("digest", id(arr)) not in self._memo:
             # the C-order buffer is the per-pair arrays concatenated in (i, j) order
-            self._memo["digest", kind] = hashlib.sha256(self.data[kind]).hexdigest()
-        return self._memo["digest", kind]
+            self._memo["digest", id(arr)] = hashlib.sha256(arr).hexdigest()
+        return self._memo["digest", id(arr)]
 
 
 def _leaf_bits(perms: np.ndarray) -> np.ndarray:
@@ -244,29 +246,26 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
         sampled = True
     leaf_bits = _leaf_bits(perms)
 
-    counts = (np.array([build_cover_table(t) for t in shapes])
-              if "cover" in kinds or "naive" in kinds else None)
-    # per kind, one table per shape of the node's pair (n_S, n_{S^c}); built on demand
-    per_shape = {"cover": lambda: np.minimum(counts, counts[:, ::-1]),
-                 "poset": lambda: np.array([poset_table(t) for t in shapes]),
-                 "naive": lambda: np.maximum(counts, counts[:, ::-1])}
+    counts = np.array([build_cover_table(t) for t in shapes])
     group = 2 if 4 ** n <= PAIR_TABLE_CAP else 1
-    tables = {k: _lookup_tables(per_shape[k](), group) for k in kinds}
+    # one lookup table per shape and distinct side
+    tables = {side: _lookup_tables(side(counts, counts[:, ::-1]), group)
+              for side in dict.fromkeys(SIDES[k] for k in kinds)}
 
-    data = {k: np.empty((len(shapes), len(shapes), len(perms)), dtype=np.uint8)
-            for k in kinds}
+    arrays = {side: np.empty((len(shapes), len(shapes), len(perms)), dtype=np.uint8)
+              for side in tables}
     for j, target in enumerate(shapes):
         idx = _pack_columns(_pullback_columns(leaf_bits, _node_masks(target)), n, group)
         tmp = np.empty(idx.shape, dtype=np.uint8)
-        for k, kind_tables in tables.items():
-            for i, table in enumerate(kind_tables):
+        for side, side_tables in tables.items():
+            for i, table in enumerate(side_tables):
                 # indices are in range, so "wrap" only skips take's buffered bounds check
                 np.take(table, idx, out=tmp, mode="wrap")
-                tmp.max(axis=0, out=data[k][i, j])
+                tmp.max(axis=0, out=arrays[side][i, j])
 
     return SearchResult(n=n, shapes=tuple(t.text for t in shapes),
                         perms=_perm_strings(perms), sampled=sampled,
-                        kinds=tuple(kinds), data=data)
+                        kinds=tuple(kinds), data={k: arrays[SIDES[k]] for k in kinds})
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +349,9 @@ def _rows(path, column_map):
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            names = KEY_COLUMNS + tuple(CSV_COLUMNS.values())
             # a renamed column answers only to its new name
-            ours = {c: c for c in names if c not in column_map}
-            ours.update((column_map[c], c) for c in names if c in column_map)
+            ours = {c: c for c in COLUMNS if c not in column_map}
+            ours.update((column_map[c], c) for c in COLUMNS if c in column_map)
             col = {ours[h]: i for i, h in enumerate(header) if h in ours}
             bounds = [(c, col[c]) for c in CSV_COLUMNS.values() if c in col]
             if not bounds or any(c not in col for c in KEY_COLUMNS):
@@ -378,10 +376,13 @@ def verify_against_reference(ours_path, reference_path, adapter=None) -> DiffRep
 
     Only bound columns present in both files are compared, and at least one
     must be.  `adapter` maps our column names to the reference's, e.g.
-    {"cover_bound": "exponent"}; a renamed column is read only under its new
-    name, and no two entries may name the same reference column.
+    {"cover_bound": "exponent"}; its keys must be our columns, a renamed column
+    is read only under its new name, and no two entries name one reference column.
     """
     adapter = adapter or {}
+    for c in adapter:
+        if c not in COLUMNS:
+            raise ValueError(f"adapter key {c!r} is not a column of ours ({', '.join(COLUMNS)})")
     if len(set(adapter.values())) < len(adapter):
         raise ValueError("adapter names one reference column twice")
     ours, theirs = _rows(ours_path, {}), _rows(reference_path, adapter)

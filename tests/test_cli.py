@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tnexp import bounds, covers
 from tnexp.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -64,6 +66,35 @@ def test_bounds_pair(capsys):
     assert payload["poset"]["value"] == 3
     assert payload["cover"] == 3
     assert payload["heights"] == [0, 1, 2, 2, 0, 1, 1, 0]
+
+
+EIGHT = ("((.(.((..).)))((..).))", "tt:8")
+PERM = ("--perm", "15236748")
+
+
+@pytest.mark.parametrize("argv, stdout_sha256", [
+    (("exponent", *EIGHT, *PERM), "f06a145fc2080b05"),
+    (("exponent", *EIGHT, *PERM, "--witnesses"), "5f45012801b130af"),
+    (("exponent", *EIGHT, *PERM, "--ilp", "--table"), "e6c7ed040a712115"),
+    (("bounds", EIGHT[0], "--probe", EIGHT[1], *PERM), "4d89628565472ae6"),
+    (("bounds", EIGHT[0], "--probe", EIGHT[1], *PERM, "--table"), "5346a7fcedede31a"),
+], ids=["exponent", "witnesses", "ilp-table", "probe", "probe-table"])
+def test_instance_commands_call_cover_exponent_once(capsys, monkeypatch, argv, stdout_sha256):
+    # one cover_exponent call serves each command (the poset value is its
+    # cover_bound); the hash prefixes pin each command's stdout
+    calls = []
+    real = covers.cover_exponent
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(covers, "cover_exponent", counted)
+    monkeypatch.setattr(bounds, "cover_exponent", counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == stdout_sha256
 
 
 def test_search_csv_json(capsys, tmp_path):
@@ -189,6 +220,20 @@ def test_check_reference_adapter_naming_one_column_twice_exits_2(capsys, tmp_pat
                              "--adapter", str(adapter))
     assert code == 2 and not out
     assert err == "error: adapter names one reference column twice\n"
+
+
+def test_check_reference_adapter_key_not_ours_exits_2(capsys, tmp_path):
+    # a misspelt key must not fall back to comparing the unrenamed columns
+    path = tmp_path / "n5.csv"
+    assert main(["search", "--n", "5", "--kinds", "cover,naive", "--csv", str(path)]) == 0
+    adapter = tmp_path / "adapter.json"
+    adapter.write_text('{"cover_boundd": "naive_max_bound"}')
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "check-reference", str(path), str(path),
+                             "--adapter", str(adapter), "--table")
+    assert code == 2 and not out
+    assert err == ("error: adapter key 'cover_boundd' is not a column of ours (n, shape_a, "
+                   "shape_b, perm_oneline, cover_bound, poset_bound, naive_max_bound)\n")
 
 
 def test_error_paths(capsys):

@@ -116,15 +116,15 @@ ALL_KINDS = ("cover", "poset", "naive")
     (10, 300, 4,
      "d0c76ba64616e50edc47be49c55a45aa6b9ce808a90c67ff0e658860c89118f1",
      "c0cf816439e07f31d9240f1d34e77971c8d3bc3d08bdcb410df9c700d794a3f1"),
-    # no naive digest: the poset kind alone, which must build no cover table
+    (12, 100, 1,
+     "bdd658ec9355914d7b36cc72a19dc3f750af5239caa3b05951c356946ebcd657",
+     "54a9bc4ede0f6fe164bffeaeff7aa4fba059b0a28a8309e1c4f64912235a1936"),
+    # no naive digest: the poset kind alone
     (7, None, 0,
      "4da38153853af5f31e8b7b5c9fda0d05e065a562d98ee1fbbad8cea6fd79d3bc", None),
 ])
-def test_search_digests_pinned(n, sample, seed, cover, naive, monkeypatch):
+def test_search_digests_pinned(n, sample, seed, cover, naive):
     if naive is None:
-        def no_cover_table(t):
-            raise AssertionError("a poset-only search built a cover table")
-        monkeypatch.setattr(search, "build_cover_table", no_cover_table)
         res = run_search(n, kinds=("poset",), sample_perms=sample, seed=seed)
         assert res.digest("poset") == cover
         return
@@ -132,6 +132,16 @@ def test_search_digests_pinned(n, sample, seed, cover, naive, monkeypatch):
     assert res.digest("cover") == cover
     assert res.digest("poset") == cover
     assert res.digest("naive") == naive
+
+
+def test_cover_and_poset_share_one_array_and_its_memo():
+    res = run_search(5, kinds=("poset", "naive", "cover"))
+    assert res.data["poset"] is res.data["cover"]
+    assert res.data["naive"] is not res.data["cover"]
+    assert res.aggregate("poset") is res.aggregate("cover")
+    assert res.digest("cover") is res.digest("poset")
+    assert res.aggregate("naive") is not res.aggregate("cover")
+    assert run_search(5, kinds=("cover",)).digest("cover") == res.digest("poset")
 
 
 def test_perm_strings_are_one_line():
