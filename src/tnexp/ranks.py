@@ -51,6 +51,7 @@ __all__ = [
 PRIME = 2 ** 31 - 1
 AMBIENT_CAP = 1 << 22       # total tensor entries
 BASIS_CAP = 1 << 28         # entries of the largest matrix one vertex builds
+TRIALS_CAP = 1 << 12        # trials per run: verify-ranks keeps one profile per trial
 _MATMUL_SPLIT = 1 << 16     # contraction length cap for the split trick
 
 
@@ -355,8 +356,8 @@ def _needed_exponent(rank: int, r: int, f_val: int) -> int:
 
 def trial_seeds(seed: int, trials: int) -> list[int]:
     """Per-trial sampling seeds, all drawn from one master seed."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials <= TRIALS_CAP:
+        raise ValueError(f"need 1..{TRIALS_CAP} trials, got {trials}")
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
 
 

@@ -6,10 +6,10 @@ table per shape is enough: a single instance evaluation is a handful of
 table lookups at the pulled-back node sets, so everything is vectorized
 over the permutation axis.
 
-The pair loop runs target-outer.  For each target shape T' the pulled-back
-masks of its non-root internal node sets are computed once, straight from
-the permutation array, and every covering shape T and every kind reads
-them.  A node v of T' pulls back to a split S | S^c of T's leaves, and
+The loop runs over target shapes T'.  For each, the pulled-back masks of
+its non-root internal node sets are computed once from the permutation
+array, and one gather per side reads them in every covering shape's
+table.  A node v of T' pulls back to a split S | S^c of T's leaves, and
 each kind is a symmetric function of the node's pair (n_S, n_{S^c}):
 cover and poset take the min (the cheaper side), naive the max.  Every
 doad set of T' is d(v) or a(v) = d(v)^c of some node v, so the max over
@@ -23,12 +23,13 @@ node's descendant mask.  poset equals cover by the covers docstring's
 theorem, so each distinct side is evaluated once for all its kinds.
 
 Every value is at least 1 (a leaf of T' needs one singleton), so each
-lookup table is floored at 1 once, up front.  While 4^n <= PAIR_TABLE_CAP,
-i.e. n <= 9, lookups go two T' nodes at a time: a shape's pair table
-holds max(t[a], t[b]) at a << n | b, the node columns are packed two to
-an index (an odd count pairs the last one with the empty mask, floored
-to 1), and an instance costs one lookup per two nodes.  Above that each
-node is its own lookup.
+lookup table is floored at 1 once, up front, and a side's tables are one
+(shapes, entries) array: the gather takes the target's index columns
+from every row, and its max over the columns is the target's column of
+the result.  While 4^n <= PAIR_TABLE_CAP, i.e. n <= 9, an index covers
+two T' nodes: a shape's pair table holds max(t[a], t[b]) at a << n | b,
+and an odd node count pairs the last one with the empty mask, floored
+to 1.  Above that each node is its own index.
 
 Results are kept as one uint8 array of shape (shapes, shapes, perms) per
 side, with permutations in lexicographic order, so the aggregates and
@@ -256,12 +257,10 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
               for side in tables}
     for j, target in enumerate(shapes):
         idx = _pack_columns(_pullback_columns(leaf_bits, _node_masks(target)), n, group)
-        tmp = np.empty(idx.shape, dtype=np.uint8)
         for side, side_tables in tables.items():
-            for i, table in enumerate(side_tables):
-                # indices are in range, so "wrap" only skips take's buffered bounds check
-                np.take(table, idx, out=tmp, mode="wrap")
-                tmp.max(axis=0, out=arrays[side][i, j])
+            # (S, columns, P) gather, reduced over T' nodes into column j; indices
+            # are in range, so "wrap" only skips take's buffered bounds check
+            side_tables.take(idx, axis=1, mode="wrap").max(axis=1, out=arrays[side][:, j])
 
     return SearchResult(n=n, shapes=tuple(t.text for t in shapes),
                         perms=_perm_strings(perms), sampled=sampled,

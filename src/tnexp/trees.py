@@ -399,18 +399,26 @@ def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:
 
     f is a scalar for every vertex, a sequence by vertex id, or a
     mapping by label (the root also as "r") where unlisted vertices
-    weigh 1.  `what` names the vector in the error message.
+    weigh 1; a key that names no vertex, or the root under both names,
+    is an error.  `what` names the vector in the error message.
     """
     if isinstance(f, int):
         vec = (f,) * t.size
     elif isinstance(f, dict):
-        vec = tuple(int(f.get(t.labels[v], f.get(t.node_label(v), 1)))
-                    for v in range(t.size))
+        vertex = {t.node_label(v): v for v in range(t.size)} | {"": t.root}
+        for key in f:
+            if key not in vertex:
+                raise ValueError(f"{what} key {str(key)[:40]!r} names no vertex of {t.n} leaves")
+        if "" in f and "r" in f:
+            raise ValueError(f"{what} gives the root twice, as '' and 'r'")
+        vec = [1] * t.size
+        for key, x in f.items():
+            vec[vertex[key]] = int(x)
     else:
         vec = tuple(int(x) for x in f)
     if len(vec) != t.size or any(x < 1 for x in vec):
         raise ValueError(f"need {t.size} positive {what} entries")
-    return vec
+    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------

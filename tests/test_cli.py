@@ -294,8 +294,10 @@ def test_closed_stdout_exits_141_quietly():
     ("search", "--n", "4", "--kinds", "cover,cover"),
     ("search", "--n", "4", "--kinds", ""),
     ("exponent", "(..)" + "x" * 100000, "tt:2"),
+    ("verify-ranks", "--tree", "tt:4", "--probe", "ht:2", "--trials", "1000000000000"),
 ], ids=["comb2000", "deep-open", "ht-huge", "exponent-neg", "exponent-huge",
-        "sample-n12", "sample-n10", "kinds-repeated", "kinds-empty", "long-tail"])
+        "sample-n12", "sample-n10", "kinds-repeated", "kinds-empty", "long-tail",
+        "trials-huge"])
 def test_oversized_input_exits_2_in_bounded_memory(argv):
     proc = run_capped(*argv)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr

@@ -22,6 +22,7 @@ from tnexp.trees import (
     enumerate_shapes,
     mask_from_leaves,
     parse_tree,
+    weight_vector,
 )
 
 
@@ -322,6 +323,18 @@ def test_trivial_containment_ht2_tt4():
     assert rep.ok
     assert rep.sets_used >= 1
     assert rep.to_dict()["holds_for_all_r"] is True
+
+
+def test_weight_mapping_names_vertices():
+    t = build_ht(2)   # labels "", "0", "00", "01", "1", "10", "11"
+    assert weight_vector(t, {"r": 2, "01": 3}) == (2, 1, 1, 3, 1, 1, 1)
+    assert weight_vector(t, {"": 2}) == weight_vector(t, {"r": 2})
+    for bad, message in [({"011": 9}, "'011' names no vertex"), ({"x": 2}, "'x' names no"),
+                         ({"": 4, "r": 3}, "root twice")]:
+        with pytest.raises(ValueError, match=message):
+            weight_vector(t, bad)
+    with pytest.raises(ValueError, match="'011' names no vertex"):
+        check_trivial_containment(t, {"011": 9}, t, 1)
 
 
 def test_trivial_containment_violation_reports_node():

@@ -7,6 +7,7 @@ from tnexp.bounds import poset_bound
 from tnexp.covers import cover_exponent
 from tnexp.ranks import (
     PRIME,
+    TRIALS_CAP,
     NetworkSpec,
     empirical_exponent,
     flattening_rank,
@@ -370,7 +371,7 @@ def test_weight_vectors_are_checked():
 
 def test_trial_seeds():
     assert trial_seeds(5, 3) == [int(s) for s in np.random.SeedSequence(5).generate_state(3)]
-    for bad in (0, -2):
+    for bad in (0, -2, TRIALS_CAP + 1):
         with pytest.raises(ValueError):
             trial_seeds(0, bad)
     spec = NetworkSpec.create(build_ht(2), leaf_dims=2, f=1, r=2)

@@ -105,7 +105,7 @@ def test_search_deterministic():
 ALL_KINDS = ("cover", "poset", "naive")
 
 
-@pytest.mark.parametrize("n, sample, seed, cover, naive", [
+DIGEST_PINS = [
     (7, None, 0,
      "4da38153853af5f31e8b7b5c9fda0d05e065a562d98ee1fbbad8cea6fd79d3bc",
      "84071dfc497fd5edeaf72f2dafa7a0023531b03a1b1386249f80c6b73c5ac6ef"),
@@ -122,8 +122,16 @@ ALL_KINDS = ("cover", "poset", "naive")
     # no naive digest: the poset kind alone
     (7, None, 0,
      "4da38153853af5f31e8b7b5c9fda0d05e065a562d98ee1fbbad8cea6fd79d3bc", None),
-])
-def test_search_digests_pinned(n, sample, seed, cover, naive):
+]
+
+
+# rows with pair tables (n <= 9) run again with one T' node per lookup forced
+@pytest.mark.parametrize("n, sample, seed, cover, naive, one_node", [
+    pytest.param(*row, one_node, id="-".join(map(str, row)) + "-one-node" * one_node)
+    for row in DIGEST_PINS for one_node in (False, True) if row[0] <= 9 or not one_node])
+def test_search_digests_pinned(n, sample, seed, cover, naive, one_node, monkeypatch):
+    if one_node:
+        monkeypatch.setattr(search, "PAIR_TABLE_CAP", 0)
     if naive is None:
         res = run_search(n, kinds=("poset",), sample_perms=sample, seed=seed)
         assert res.digest("poset") == cover
