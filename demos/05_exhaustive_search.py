@@ -26,11 +26,10 @@ for n in (4, 5, 6):
           f"cover histogram {hist}")
 
 res = run_search(5, kinds=("cover", "poset", "naive"))
-agg = res.aggregate("cover")
+_, maxs, _ = res.aggregate("cover")
 print("\nn=5 max cover bound over permutations, per shape pair:")
-for i, a in enumerate(res.shapes):
-    row = " ".join(str(agg[(i, j)]["max"]) for j in range(len(res.shapes)))
-    print(f"  {a:<14} {row}")
+for a, row in zip(res.shapes, maxs.tolist()):
+    print(f"  {a:<14} {' '.join(map(str, row))}")
 print("identity instances are always 1:",
       all(res.values("cover", i, i)[res.perms.index("12345")] == 1
           for i in range(len(res.shapes))))

@@ -76,8 +76,8 @@ def poset_table(t: Tree) -> np.ndarray:
 
     Entry m is the cheaper exact cover of S = m or its complement, so
     the table is symmetric under m <-> full ^ m; it is 0 at the empty
-    and the full set, where one side is empty.  The tests' oracle for
-    the BFS tables that the search reads for its `poset` kind.
+    and the full set, where one side is empty.  The tests check the min
+    sides of build_cover_table's vectorized tables against it.
     """
     count = CoverCounter(t).count
     c = np.array([count(m) for m in range(1 << t.n)], dtype=np.uint8)

@@ -123,21 +123,13 @@ def _cmd_search(args) -> int:
         search.write_results(result, "csv", args.csv)
     if args.json:
         search.write_results(result, "json", args.json)
-    payload = {
-        "n": result.n,
-        "instances": result.instance_count,
-        "shapes": list(result.shapes),
-        "sampled": result.sampled,
-        "digests": {k: result.digest(k) for k in result.kinds},
-    }
+    payload = {"n": result.n, "instances": result.instance_count,
+               "shapes": list(result.shapes), "sampled": result.sampled,
+               "digests": {k: result.digest(k) for k in result.kinds}}
     for k in result.kinds:
-        agg = result.aggregate(k)
-        payload[f"{k}_max_matrix"] = [
-            [agg[(i, j)]["max"] for j in range(len(result.shapes))]
-            for i in range(len(result.shapes))]
-        payload[f"{k}_min_matrix"] = [
-            [agg[(i, j)]["min"] for j in range(len(result.shapes))]
-            for i in range(len(result.shapes))]
+        mins, maxs, _ = result.aggregate(k)
+        payload[f"{k}_max_matrix"] = maxs.tolist()
+        payload[f"{k}_min_matrix"] = mins.tolist()
 
     def lines(p):
         out = [f"n={p['n']}  instances={p['instances']}  sampled={p['sampled']}"]

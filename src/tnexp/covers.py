@@ -25,14 +25,11 @@ sets of v, and D(X) for the number of maximal descendant sets inside X.
 
 Hence n_S = min(D(S), 1 + D(S & d(lca(S^c)))), with n_0 = 0 and
 n_full = 1; at the root the second term is 1 + D(S) and never wins.
-CoverCounter evaluates this one subset at a time from the tree alone
-and answers every single-instance cover query up to LEAF_CAP leaves:
-cover_exponent reads it, and bounds.poset_bound reads cover_exponent.
-The other route is build_cover_table, a layered BFS over all 2^n
-subsets that returns the counts array.  The search reads its min side
-per node for the "cover" and (equal by the closed form) "poset" kinds
-and its max side for "naive".  The tests check the two routes against
-each other, with bounds.poset_table as the closed form.
+Production evaluates only this closed form, by two routes.  CoverCounter
+takes one subset at a time, up to LEAF_CAP leaves, for cover_exponent
+(and so bounds.poset_bound).  build_cover_table takes all 2^n subsets
+at once, vectorized, for the search.  The tests check both against a
+layered BFS over disjoint doad unions and a plain union search.
 
 The containment exponent certificate for a pair (T, T') under a leaf
 permutation is then: for every internal node w of T', cover either the
@@ -77,7 +74,7 @@ __all__ = [
 ]
 
 COVER_TABLE_CAP = 24  # 2^n table entries; CoverCounter has no such cap
-_UNSET = 255
+_TABLE_BLOCK = 1 << 16  # masks per block of build_cover_table
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +132,30 @@ class CoverCounter:
 
 
 def build_cover_table(t: Tree) -> np.ndarray:
-    """Exact n_S for every leaf subset, by layered disjoint-union BFS.
+    """uint8 counts[mask] = n_S for every leaf subset, by the closed form.
 
-    Returns the uint8 array with counts[mask] = n_S (counts[0] == 0).
+    A pass over T's vertices, children first, gives D_v(S) = D(S & d(v)):
+    1 if d(v) lies in S, else the children's sum.  lca(S^c) is the last
+    vertex in preorder whose descendant set contains S^c, so n_S =
+    min(D_root(S), 1 + D_lca(S)).  Masks go in blocks of _TABLE_BLOCK.
     """
     if t.n > COVER_TABLE_CAP:
         raise ValueError(
             f"cover tables are capped at {COVER_TABLE_CAP} leaves (got {t.n}); "
             f"CoverCounter answers one subset at a time up to {LEAF_CAP} leaves")
-    doads = np.array(doad_family(t).masks, dtype=np.int64)
-    counts = np.full(1 << t.n, _UNSET, dtype=np.uint8)
-    counts[0] = 0
-    frontier = np.zeros(1, dtype=np.int64)
-    layer = 0
-    while frontier.size:
-        layer += 1
-        grown = []
-        for d in doads:
-            ext = frontier[(frontier & d) == 0] | d
-            ext = ext[counts[ext] == _UNSET]
-            if ext.size:
-                counts[ext] = layer
-                grown.append(ext)
-        frontier = np.unique(np.concatenate(grown)) if grown else np.zeros(0, dtype=np.int64)
+    full, one = t.full_mask, np.uint8(1)
+    counts = np.empty(full + 1, dtype=np.uint8)
+    for start in range(0, full + 1, _TABLE_BLOCK):
+        s = np.arange(start, min(start + _TABLE_BLOCK, full + 1), dtype=np.int64)
+        d = [None] * t.size
+        for v in range(t.size - 1, -1, -1):   # children have larger ids
+            inside = (s & t.desc_masks[v]) == t.desc_masks[v]
+            d[v] = (inside.astype(np.uint8) if t.is_leaf(v)
+                    else np.where(inside, one, d[t.left[v]] + d[t.right[v]]))
+        anti = d[0].copy()
+        for v in range(1, t.size):            # the deepest writer is lca(S^c)
+            np.copyto(anti, d[v], where=(s | t.desc_masks[v]) == full)
+        np.minimum(d[0], anti + one, out=counts[start:start + len(s)])
     return counts
 
 

@@ -2,42 +2,36 @@
 
 For n leaves the instance space is every ordered pair of unordered
 shapes times every permutation of the second tree's leaves.  One cover
-table per shape is enough: a single instance evaluation is a handful of
-table lookups at the pulled-back node sets, so everything is vectorized
-over the permutation axis.
+table per shape (covers.build_cover_table, the closed form over all 2^n
+masks) is enough: an instance is a handful of table lookups at the
+pulled-back node sets, so everything is vectorized over the permutations.
 
-The loop runs over target shapes T'.  For each, the pulled-back masks of
-its non-root internal node sets are computed once from the permutation
-array, and one gather per side reads them in every covering shape's
-table.  A node v of T' pulls back to a split S | S^c of T's leaves, and
-each kind is a symmetric function of the node's pair (n_S, n_{S^c}):
-cover and poset take the min (the cheaper side), naive the max.  Every
-doad set of T' is d(v) or a(v) = d(v)^c of some node v, so the max over
-the pulled-back doad sets of T' is a max over nodes, and the nodes left
-out give at most 1, which the floor below supplies: a leaf of T' pulls
-back to a singleton and a co-singleton (the anti set of a leaf of T),
-and the root's descendant set is the full set.  With full ^ m == full - m
-the pair's other side is the reversed BFS table, so a kind's side
-function of (counts, counts[::-1]) is one per-shape table read at the
-node's descendant mask.  poset equals cover by the covers docstring's
-theorem, so each distinct side is evaluated once for all its kinds.
+A node v of T' pulls back to a split S | S^c of T's leaves, and each
+kind is a symmetric function of the node's pair (n_S, n_{S^c}): cover
+and poset take the min (the cheaper side), naive the max.  Every doad
+set of T' is d(v) or a(v) = d(v)^c of some node v, and the leaves and
+the root give at most 1, which the floor below supplies.  With
+full ^ m == full - m the pair's other side is the reversed table, so a
+kind is one per-shape table read at the node's descendant mask.  poset
+equals cover by the covers docstring's theorem, so each distinct side
+is evaluated once for all its kinds.
 
-Every value is at least 1 (a leaf of T' needs one singleton), so each
-lookup table is floored at 1 once, up front, and a side's tables are one
-(shapes, entries) array: the gather takes the target's index columns
-from every row, and its max over the columns is the target's column of
-the result.  While 4^n <= PAIR_TABLE_CAP, i.e. n <= 9, an index covers
-two T' nodes: a shape's pair table holds max(t[a], t[b]) at a << n | b,
-and an odd node count pairs the last one with the empty mask, floored
-to 1.  Above that each node is its own index.
+Every value is at least 1, so each lookup table is floored at 1 up
+front, and a side's tables are one (shapes, entries) array.  The loop
+runs over target shapes T': one float64 product of its nodes' leaf
+membership with the permutations' leaf bits gives the index columns,
+one gather takes them from every shape's row, and the max over the
+columns is the target's column of the result.  While 4^n <=
+PAIR_TABLE_CAP, i.e. n <= 9, an index covers two T' nodes: a shape's
+pair table holds max(t[a], t[b]) at a << n | b, and the product pulls
+back a << n | b at once (every sum stays below 2^18, exact).
 
-Results are kept as one uint8 array of shape (shapes, shapes, perms) per
-side, with permutations in lexicographic order, so the aggregates and
-serializations below are deterministic.  The CSV holds one row per
-instance (at n = 8 that is 21.3M rows, around 2 GB -- request it
-deliberately); the JSON summary carries the shape list, per-pair
-aggregates, and a sha256 digest of the raw per-instance array, which pins
-the full result down byte-exactly at a few KB.
+Results are one uint8 array of shape (shapes, shapes, perms) per side,
+permutations in lexicographic order, so the outputs are deterministic.
+The CSV holds one row per instance (21.3M rows, around 2 GB, at n = 8);
+the JSON summary carries the shape list, per-pair aggregates, and a
+sha256 digest of the raw per-instance array, which pins the full result
+down byte-exactly at a few KB.
 
 check-reference compares two such CSVs in one merge pass, holding one row
 per file.  Both must list rows in the writer's key order: n, shape_a,
@@ -48,10 +42,11 @@ shape_b, then the permutation as integers (so "1-2-..." precedes
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
-import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,14 +74,15 @@ class SearchResult:
     """Per-instance bound values for all (shape, shape, perm) instances.
 
     data[kind] is a uint8 array of shape (shapes, shapes, perms), with the
-    permutation axis in the lexicographic order of `perms`; kinds with one
-    side share an array.  Arrays are never written after run_search, so
-    each array's aggregate and digest are computed once, then read from `_memo`.
+    permutation axis in the lexicographic order of the (perms, n) int8
+    array `perm_array`; kinds with one side share an array.  Arrays are
+    never written after run_search, so each array's aggregate and digest
+    are computed once, then read from `_memo`.
     """
 
     n: int
     shapes: tuple            # canonical strings, lexicographic
-    perms: tuple             # one-line strings, lexicographic
+    perm_array: np.ndarray   # rows lexicographic, entries 1..n
     sampled: bool
     kinds: tuple
     data: dict
@@ -94,31 +90,33 @@ class SearchResult:
 
     @property
     def instance_count(self) -> int:
-        return len(self.shapes) ** 2 * len(self.perms)
+        return len(self.shapes) ** 2 * len(self.perm_array)
+
+    @functools.cached_property
+    def perms(self) -> tuple:
+        """One-line strings of `perm_array`'s rows (only the CSV needs them all)."""
+        return _perm_strings(self.perm_array)
 
     def values(self, kind: str, i: int, j: int) -> np.ndarray:
         return self.data[kind][i, j]
 
-    def aggregate(self, kind: str) -> dict:
-        """Per-pair min/max/histogram over the permutation axis."""
+    def aggregate(self, kind: str) -> tuple:
+        """(mins, maxs, counts) over the permutation axis, indexed by pair [i, j]:
+        counts[i, j, v] is the number of permutations with value v."""
         arr = self.data[kind]
-        if ("aggregate", id(arr)) in self._memo:
-            return self._memo["aggregate", id(arr)]
-        mins, maxs = arr.min(axis=2), arr.max(axis=2)
-        # counts[i, j, v] = #perms with value v, one row of pairs at a time
-        # (popcounts of the packed equality bits; temporaries stay small)
-        counts = np.zeros(mins.shape + (int(maxs.max()) + 1,), dtype=np.int64)
-        for i, block in enumerate(arr):
-            for v in range(int(mins[i].min()), int(maxs[i].max()) + 1):
-                counts[i, :, v] = np.bitwise_count(np.packbits(block == v, axis=1)).sum(axis=1)
-        out = {}
-        for (i, j), lo, hi, row in zip(itertools.product(range(len(mins)), repeat=2),
-                                       mins.ravel().tolist(), maxs.ravel().tolist(),
-                                       counts.reshape(-1, counts.shape[2]).tolist()):
-            out[(i, j)] = {"min": lo, "max": hi,
-                           "histogram": {v: c for v, c in enumerate(row) if c}}
-        self._memo["aggregate", id(arr)] = out
-        return out
+        key = "aggregate", id(arr)
+        if key not in self._memo:
+            mins, maxs = arr.min(axis=2), arr.max(axis=2)
+            # one row of pairs at a time (popcounts of the packed equality bits,
+            # so temporaries stay small); the row's least value takes the rest
+            counts = np.zeros(mins.shape + (int(maxs.max()) + 1,), dtype=np.int64)
+            for i, block in enumerate(arr):
+                lo = int(mins[i].min())
+                for v in range(lo + 1, int(maxs[i].max()) + 1):
+                    counts[i, :, v] = np.bitwise_count(np.packbits(block == v, axis=1)).sum(1)
+                counts[i, :, lo] = arr.shape[2] - counts[i].sum(axis=1)
+            self._memo[key] = mins, maxs, counts
+        return self._memo[key]
 
     def digest(self, kind: str) -> str:
         arr = self.data[kind]
@@ -128,13 +126,14 @@ class SearchResult:
         return self._memo["digest", id(arr)]
 
 
-def _leaf_bits(perms: np.ndarray) -> np.ndarray:
-    """(n, P) float64 table: row x holds 2^l where perms[p, l] == x + 1.
-
-    perms has shape (P, n) with 1-based entries; the pulled-back mask of a
-    mask m is the OR, here also the sum, of the rows of its leaves.
-    """
-    return np.ldexp(1.0, np.argsort(perms, axis=1).T)
+def _leaf_bits(perms: np.ndarray, group: int = 1) -> np.ndarray:
+    """(group n, P) float64: row g n + x holds 2^(g n + l) where perms[p, l] == x + 1,
+    so a mask shifted up by g n pulls back to the OR, here the sum, of its leaves' rows."""
+    count, n = perms.shape
+    bits = np.empty((group, n, count))
+    bits[0, perms.T - 1, np.arange(count)] = (2.0 ** np.arange(n))[:, None]
+    bits[1:] = bits[0] * 2.0 ** (n * np.arange(1, group))[:, None, None]
+    return bits.reshape(group * n, count)
 
 
 def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
@@ -142,44 +141,45 @@ def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
 
     out[k, p] has leaf l set iff perms[p, l] is a leaf of masks[k], as in
     Permutation.pullback: one product of the masks' 0/1 leaf-membership
-    matrix with `_leaf_bits`, exact in float64 since every sum is below 2^n.
+    matrix with `_leaf_bits`, exact in float64 since every sum is below 2^18.
     """
     member = np.asarray(masks, dtype=np.intp)[:, None] >> np.arange(len(leaf_bits)) & 1
     return (member.astype(np.float64) @ leaf_bits).astype(np.intp)
 
 
-def _node_masks(t) -> list:
-    """Descendant sets of the non-root internal vertices (one for n >= 4)."""
-    return [t.desc_masks[w] for w in t.internal if w != t.root]
+def _node_masks(t, group: int) -> list:
+    """Descendant sets of the non-root internal vertices (n - 2 of them),
+    `group` to an index: a pair is a << n | b, and an odd count pairs the
+    last set with mask 0, whose floored entry 1 leaves every max unchanged."""
+    masks = [t.desc_masks[w] for w in t.internal if w != t.root]
+    if group == 2:
+        masks += [0] * (len(masks) % 2)
+        masks = [a << t.n | b for a, b in zip(masks[0::2], masks[1::2])]
+    return masks
 
 
 def _lex_perms(n: int) -> np.ndarray:
-    flat = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
-    return np.fromiter(flat, dtype=np.int8, count=n * math.factorial(n)).reshape(-1, n)
+    """(n!, n) int8: every permutation of 1..n, rows in lexicographic order.
+
+    Built in blocks: the permutations of k symbols are, for each first
+    symbol f in turn, f followed by those of k - 1 symbols with f skipped.
+    """
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        first = np.arange(k, dtype=np.int8)[:, None, None]
+        rest = perms + (perms >= first)          # (k, (k-1)!, k-1)
+        perms = np.concatenate([np.broadcast_to(first, rest.shape[:2] + (1,)), rest], 2)
+        perms = perms.reshape(-1, k)
+    return perms + 1
 
 
 def _lookup_tables(tables: np.ndarray, group: int) -> np.ndarray:
     """(S, 2^(group n)) uint8 from (S, 2^n) tables, every entry floored at 1.
-
-    For group 2 entry a << n | b holds max(t[a], t[b], 1): one pair table per shape.
-    """
+    For group 2 entry a << n | b holds max(t[a], t[b], 1): one pair table per shape."""
     floored = np.maximum(tables, 1)   # a leaf of T' needs one singleton
     if group == 1:
         return floored
     return np.maximum(floored[:, :, None], floored[:, None, :]).reshape(len(tables), -1)
-
-
-def _pack_columns(cols: np.ndarray, n: int, group: int) -> np.ndarray:
-    """Node columns packed `group` to an index.
-
-    An odd count pairs the last column with mask 0, whose floored entry 1
-    leaves every max unchanged.
-    """
-    if group == 1:
-        return cols
-    packed = cols[0::2] << n
-    packed[:len(cols) // 2] |= cols[1::2]
-    return packed
 
 
 def _sample_perms(n: int, count: int, seed: int) -> np.ndarray:
@@ -201,8 +201,8 @@ def _sample_perms(n: int, count: int, seed: int) -> np.ndarray:
         seen.add(tuple(int(x) + 1 for x in rng.permutation(n)))
     if draws == count:
         return np.array(sorted(seen), dtype=np.int8)
-    return np.array([p for p in itertools.permutations(range(1, n + 1)) if p not in seen],
-                    dtype=np.int8)
+    every = _lex_perms(n)
+    return every[[p not in seen for p in map(tuple, every.tolist())]]
 
 
 def _perm_strings(perms: np.ndarray) -> tuple:
@@ -239,16 +239,12 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
     if len(shapes) ** 2 * perm_count > INSTANCE_CAP:
         raise ValueError(f"{len(shapes)}^2 shape pairs x {perm_count} permutations exceed "
                          f"the {INSTANCE_CAP} instances a search can hold per kind")
-    if sample_perms is None:
-        perms = _lex_perms(n)
-        sampled = False
-    else:
-        perms = _sample_perms(n, int(sample_perms), seed)
-        sampled = True
-    leaf_bits = _leaf_bits(perms)
+    sampled = sample_perms is not None
+    perms = _sample_perms(n, int(sample_perms), seed) if sampled else _lex_perms(n)
+    group = 2 if 4 ** n <= PAIR_TABLE_CAP else 1
+    leaf_bits = _leaf_bits(perms, group)
 
     counts = np.array([build_cover_table(t) for t in shapes])
-    group = 2 if 4 ** n <= PAIR_TABLE_CAP else 1
     # one lookup table per shape and distinct side
     tables = {side: _lookup_tables(side(counts, counts[:, ::-1]), group)
               for side in dict.fromkeys(SIDES[k] for k in kinds)}
@@ -256,14 +252,14 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
     arrays = {side: np.empty((len(shapes), len(shapes), len(perms)), dtype=np.uint8)
               for side in tables}
     for j, target in enumerate(shapes):
-        idx = _pack_columns(_pullback_columns(leaf_bits, _node_masks(target)), n, group)
+        idx = _pullback_columns(leaf_bits, _node_masks(target, group))
         for side, side_tables in tables.items():
             # (S, columns, P) gather, reduced over T' nodes into column j; indices
             # are in range, so "wrap" only skips take's buffered bounds check
             side_tables.take(idx, axis=1, mode="wrap").max(axis=1, out=arrays[side][:, j])
 
     return SearchResult(n=n, shapes=tuple(t.text for t in shapes),
-                        perms=_perm_strings(perms), sampled=sampled,
+                        perm_array=perms, sampled=sampled,
                         kinds=tuple(kinds), data={k: arrays[SIDES[k]] for k in kinds})
 
 
@@ -296,28 +292,40 @@ def _write_csv(result: SearchResult, path) -> None:
 
 
 def _write_json(result: SearchResult, path) -> None:
-    payload = {
-        "n": result.n,
-        "shapes": list(result.shapes),
-        "perm_count": len(result.perms),
-        "sampled": result.sampled,
-        "kinds": list(result.kinds),
-        "instances": result.instance_count,
-        "pairs": [],
-        "digests": {k: result.digest(k) for k in result.kinds},
-    }
-    aggs = {k: result.aggregate(k) for k in result.kinds}
-    for i in range(len(result.shapes)):
-        for j in range(len(result.shapes)):
-            entry = {"a": i, "b": j}
-            for k in result.kinds:
-                agg = aggs[k][(i, j)]
-                entry[k] = {"min": agg["min"], "max": agg["max"],
-                            "histogram": {str(v): c for v, c in agg["histogram"].items()}}
-            payload["pairs"].append(entry)
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """Write the bytes of json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    with the pairs formatted from the aggregate arrays one shape row at a time."""
+    head = json.dumps({
+        "n": result.n, "shapes": list(result.shapes), "perm_count": len(result.perm_array),
+        "sampled": result.sampled, "kinds": list(result.kinds), "pairs": [],
+        "instances": result.instance_count, "digests": {k: result.digest(k) for k in result.kinds},
+    }, sort_keys=True, indent=1)
+    before, after = head.split('"pairs": []')
+    kinds = sorted(result.kinds)
+    pair = '  {\n   "a": %d,\n   "b": %d,\n' + ",\n".join(f'   "{k}": %s' for k in kinds) + "\n  }"
+    aggs, templates = [result.aggregate(k) for k in kinds], {}
+    distinct = {id(a): a for a in aggs}   # kinds sharing an array share its aggregate
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        fh.write(before + '"pairs": [')
+        for i in range(len(result.shapes)):
+            texts = {key: _aggregate_texts(a, i, templates) for key, a in distinct.items()}
+            columns = zip(*(texts[id(a)] for a in aggs))
+            fh.write(",\n"[i == 0:] + ",\n".join(pair % (i, j, *c) for j, c in enumerate(columns)))
+        fh.write("\n ]" + after + "\n")
+
+
+def _aggregate_texts(aggregate, i, templates) -> list:
+    """JSON text of pair (i, j)'s {"histogram", "max", "min"} object for every j.
+    A template per bit set of nonzero values lists them as JSON sorts keys,
+    as strings, with a getter for their counts in the row (max, min, *counts)."""
+    mins, maxs, counts = (a[i] for a in aggregate)
+    keys = ((counts > 0) << np.arange(counts.shape[1])).sum(axis=1).tolist()
+    for key in set(keys) - templates.keys():
+        values = sorted((v for v in range(key.bit_length()) if key >> v & 1), key=str)
+        hist = ",\n".join(f'     "{v}": %d' for v in values)
+        templates[key] = ('{\n    "histogram": {\n' + hist + '\n    },\n    "max": %d,\n'
+                          '    "min": %d\n   }', operator.itemgetter(*(v + 2 for v in values), 0, 1))
+    rows = np.column_stack([maxs, mins, counts]).tolist()
+    return [fmt % pick(row) for (fmt, pick), row in zip(map(templates.get, keys), rows)]
 
 
 # ---------------------------------------------------------------------------

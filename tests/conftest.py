@@ -1,8 +1,10 @@
 """Shared fixtures: figure trees used across the suite, plus independent
-oracles (breadth-first union search, no disjointness shortcut) that the
+oracles (breadth-first union searches over the doad family) that the
 production code is checked against."""
 
 from __future__ import annotations
+
+import numpy as np
 
 from tnexp.trees import Tree, doad_family
 
@@ -36,6 +38,32 @@ def brute_cover_table(t: Tree) -> list[int]:
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def bfs_cover_table(t: Tree) -> np.ndarray:
+    """n_S for every leaf subset by layered disjoint-union BFS over the doad
+    family, independent of the closed form: the oracle for build_cover_table.
+
+    Layer k holds the unions of k pairwise disjoint doad sets not reached
+    before; minimal covers of proper subsets are disjoint, and the full set
+    is a doad set.  Returns uint8 counts with counts[0] == 0.
+    """
+    doads = np.array(doad_family(t).masks, dtype=np.int64)
+    counts = np.full(1 << t.n, 255, dtype=np.uint8)
+    counts[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    layer = 0
+    while frontier.size:
+        layer += 1
+        grown = []
+        for d in doads:
+            ext = frontier[(frontier & d) == 0] | d
+            ext = ext[counts[ext] == 255]
+            if ext.size:
+                counts[ext] = layer
+                grown.append(ext)
+        frontier = np.unique(np.concatenate(grown)) if grown else np.zeros(0, dtype=np.int64)
+    return counts
 
 
 def random_tree(rng, n: int) -> Tree:

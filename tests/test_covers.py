@@ -1,9 +1,13 @@
 import itertools
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import NOT_SHARP_A, NOT_SHARP_B, brute_cover_table
+from conftest import NOT_SHARP_A, NOT_SHARP_B, bfs_cover_table, brute_cover_table, random_tree
+from tnexp import covers
 from tnexp.covers import (
     CoverCounter,
     build_cover_table,
@@ -70,14 +74,46 @@ def test_table_cap():
 
 
 # ---------------------------------------------------------------------------
-# per-query closed form against the BFS table
+# both closed-form routes against the BFS table
+
+ORACLE_TREES = ([Tree(".")] + [t for n in range(2, 11) for t in enumerate_shapes(n)]
+                + [build_tt(12), build_ht(4)])
+
+
+def test_table_matches_bfs_oracle():
+    rng = random.Random(12)
+    sampled = [random_tree(rng, 12) for _ in range(20)]
+    for t in ORACLE_TREES + sampled:
+        assert np.array_equal(build_cover_table(t), bfs_cover_table(t)), t
+
+
+def test_table_blocks_join_up(monkeypatch):
+    rng = random.Random(17)
+    for t in (random_tree(rng, 17), build_tt(17)):   # two blocks of 2^16 masks
+        assert np.array_equal(build_cover_table(t), bfs_cover_table(t)), t
+    monkeypatch.setattr(covers, "_TABLE_BLOCK", 32)    # several blocks from n = 6 on
+    for t in [t for n in range(2, 9) for t in enumerate_shapes(n)]:
+        assert np.array_equal(build_cover_table(t), bfs_cover_table(t)), t
+
+
+def test_table_memory_is_bounded_by_blocks():
+    # the 22-leaf comb's BFS grows the process by about 70 MB; the blocked
+    # closed form by its 4 MB result plus a few MB of per-block temporaries
+    code = ("import resource; from tnexp.covers import build_cover_table; "
+            "from tnexp.trees import build_tt; t = build_tt(22); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "build_cover_table(t); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert int(proc.stdout) < 32 * 1024   # KiB
+
 
 def test_counter_matches_table_every_subset():
-    trees = [t for n in range(2, 11) for t in enumerate_shapes(n)]
-    for t in trees + [build_tt(12), build_ht(4)]:
+    for t in ORACLE_TREES:
         counter = CoverCounter(t)
         got = [counter.count(mask) for mask in range(1 << t.n)]
-        assert np.array_equal(got, build_cover_table(t)), t
+        assert np.array_equal(got, bfs_cover_table(t)), t
 
 
 def test_witness_decompositions():

@@ -1,12 +1,14 @@
-"""Bounded property tests on random trees with at most 12 leaves.
+"""Bounded property tests on random trees with at most 14 leaves.
 
 Every test draws at most 50 examples with a fixed derivation seed
 (derandomize), so the suite stays fast and repeatable.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bfs_cover_table
 from tnexp.covers import CoverCounter, build_cover_table, cover_exponent
 from tnexp.ilp import build_ip, solve_ip
 from tnexp.trees import Permutation, parse_tree
@@ -61,9 +63,15 @@ def test_cover_bound_at_most_half_the_leaves(case):
 @BOUNDED
 @given(trees(max_leaves=10))
 def test_counter_matches_bfs_table(t):
-    table = build_cover_table(t)
+    table = bfs_cover_table(t)
     count = CoverCounter(t).count
     assert [count(m) for m in range(1 << t.n)] == table.tolist()
+
+
+@BOUNDED
+@given(trees(max_leaves=14))
+def test_table_matches_bfs_table(t):
+    assert np.array_equal(build_cover_table(t), bfs_cover_table(t))
 
 
 @BOUNDED

@@ -1,16 +1,20 @@
 import csv
+import hashlib
 import itertools
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from tnexp.covers import build_cover_table, cover_exponent
-from tnexp import search
+from tnexp import cli, search
 from tnexp.bounds import poset_bound
 from tnexp.search import (
+    SearchResult,
     _leaf_bits,
+    _lex_perms,
     _pullback_columns,
     _sample_perms,
     run_search,
@@ -33,6 +37,26 @@ def test_pullback_table_matches_scalar():
         for k, mask in enumerate(masks):
             pi = int(rng.integers(len(perms)))
             assert pb[k, pi] == Permutation(perms[pi]).pullback(mask)
+
+
+def test_packed_pullback_is_the_pair_of_pullbacks():
+    # one product pulls back a << n | b through the doubled leaf bits
+    rng = np.random.default_rng(4)
+    for n in (4, 8, 9):
+        perms = np.array([rng.permutation(n) + 1 for _ in range(300)], dtype=np.int8)
+        pairs = [tuple(int(m) for m in rng.integers(1 << n, size=2)) for _ in range(50)]
+        pb = _pullback_columns(_leaf_bits(perms, 2), [a << n | b for a, b in pairs])
+        for k, (a, b) in enumerate(pairs):
+            perm = Permutation(perms[k])
+            assert pb[k, k] == perm.pullback(a) << n | perm.pullback(b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lex_perms_match_itertools(n):
+    want = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+    got = _lex_perms(n)
+    assert got.dtype == np.int8 and got.shape == (math.factorial(n), n)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +176,12 @@ def test_cover_and_poset_share_one_array_and_its_memo():
     assert run_search(5, kinds=("cover",)).digest("cover") == res.digest("poset")
 
 
+def test_perm_strings_are_built_on_first_read():
+    res = run_search(6)
+    assert "perms" not in vars(res)
+    assert res.perms is res.perms and len(res.perms) == 720
+
+
 def test_perm_strings_are_one_line():
     res = run_search(5)
     rows = list(itertools.permutations(range(1, 6)))
@@ -165,12 +195,13 @@ def test_perm_strings_are_one_line():
 def test_aggregate_matches_per_pair_loop():
     res = run_search(6, kinds=ALL_KINDS)
     for kind in ALL_KINDS:
-        agg = res.aggregate(kind)
-        assert list(agg) == list(itertools.product(range(len(res.shapes)), repeat=2))
-        for (i, j), got in agg.items():
+        mins, maxs, counts = res.aggregate(kind)
+        assert mins.shape == maxs.shape == (len(res.shapes),) * 2
+        for i, j in itertools.product(range(len(res.shapes)), repeat=2):
             arr = res.values(kind, i, j)
-            hist = {v: int(c) for v, c in enumerate(np.bincount(arr)) if c}
-            assert got == {"min": int(arr.min()), "max": int(arr.max()), "histogram": hist}
+            hist = np.bincount(arr, minlength=counts.shape[2])
+            assert (mins[i, j], maxs[i, j]) == (arr.min(), arr.max())
+            assert counts[i, j].tolist() == hist.tolist()
 
 
 def test_search_self_identity_spot_check():
@@ -182,9 +213,8 @@ def test_search_self_identity_spot_check():
 
 def test_search_n4_min_over_perms_is_all_ones():
     res = run_search(4)
-    agg = res.aggregate("cover")
-    mins = [[agg[(i, j)]["min"] for j in range(2)] for i in range(2)]
-    assert mins == [[1, 1], [1, 1]]
+    mins, _, _ = res.aggregate("cover")
+    assert mins.tolist() == [[1, 1], [1, 1]]
 
 
 def test_search_sampled_permutations():
@@ -242,10 +272,10 @@ def test_csv_round_trip_aggregates(tmp_path):
         i = res.shapes.index(row["shape_a"])
         j = res.shapes.index(row["shape_b"])
         by_pair.setdefault((i, j), []).append(int(row["cover_bound"]))
-    agg = res.aggregate("cover")
+    mins, maxs, _ = res.aggregate("cover")
     for key, values in by_pair.items():
-        assert max(values) == agg[key]["max"]
-        assert min(values) == agg[key]["min"]
+        assert max(values) == maxs[key]
+        assert min(values) == mins[key]
 
 
 def test_csv_byte_identical_across_runs(tmp_path):
@@ -265,6 +295,37 @@ def test_json_summary(tmp_path):
     assert len(payload["pairs"]) == 4
     write_results(res, "json", tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _json_by_dumps(res):
+    """The JSON summary as json.dumps writes it from one dict per pair."""
+    payload = {"n": res.n, "shapes": list(res.shapes), "perm_count": len(res.perm_array),
+               "sampled": res.sampled, "kinds": list(res.kinds),
+               "instances": res.instance_count, "pairs": [],
+               "digests": {k: res.digest(k) for k in res.kinds}}
+    for i, j in itertools.product(range(len(res.shapes)), repeat=2):
+        entry = {"a": i, "b": j}
+        for k in res.kinds:
+            arr = res.values(k, i, j)
+            hist = {str(v): int(c) for v, c in enumerate(np.bincount(arr)) if c}
+            entry[k] = {"min": int(arr.min()), "max": int(arr.max()), "histogram": hist}
+        payload["pairs"].append(entry)
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def test_json_writer_matches_json_dumps(tmp_path):
+    rng = np.random.default_rng(5)
+    results = [run_search(4, kinds=("naive",)), run_search(6, kinds=ALL_KINDS),
+               run_search(10, kinds=("poset", "naive"), sample_perms=7, seed=3)]
+    # values up to 12 put "10", "11" and "12" before "2" among the histogram keys
+    wide = rng.integers(1, 13, size=(3, 3, 40), dtype=np.uint8)
+    results.append(SearchResult(n=9, shapes=("x", "y", "z"), perm_array=_lex_perms(9)[:40],
+                                sampled=True, kinds=("naive", "cover"),
+                                data={"naive": wide, "cover": np.maximum(wide, 11)}))
+    for res in results:
+        path = tmp_path / "out.json"
+        write_results(res, "json", path)
+        assert path.read_text() == _json_by_dumps(res)
 
 
 def test_write_results_rejects_unknown_format(tmp_path):
@@ -384,3 +445,88 @@ def test_reference_rejects_short_row_and_bad_header(tmp_path):
     no_key.write_text(N10_HEADER.replace("shape_b,", "") + "\n")
     with pytest.raises(ValueError, match="^" + re.escape(f"{no_key}:1: header needs")):
         verify_against_reference(good, no_key)
+
+
+# ---------------------------------------------------------------------------
+# byte pins of the search command's outputs
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# (n, kinds, sampled perms, seed, sha256 of the --json file, sha256 of stdout)
+SEARCH_OUTPUT_PINS = [
+    (4, "cover,poset", None, 0,
+     "39d20391f3ae5096e7a88c6c8989f26b7d6f1dfc235d93d92594b19ded9dbc3a",
+     "5b5f621654b41598b4927aa964176563578646473a4c26ff7087a37a14b492b1"),
+    (4, "cover,poset,naive", None, 0,
+     "3a289075cbad7b303490c30a140ad411ff2ccb567690db41e88e6a8fb54f978b",
+     "b87d5e0318da87ffe9bdd95abd445356a0e00b12661e5cdd79e5e8bfb20504a7"),
+    (5, "cover,poset", None, 0,
+     "ba49c9378f4a0540f68b5327df87ce5d9b0c65b5dc5e729461ca621c2631af2e",
+     "fb4e46897d519e2213dfc2d8cfd8047d006c2030ff8d9e7bd045eea6bbc69f56"),
+    (5, "cover,poset,naive", None, 0,
+     "6ca3bc1ea19dfb9ba6d29fed64884a18cd43cc4af117cfdd7cdc612126f06bd4",
+     "a530b79105202be4b7eaa35cb910deff0f2507e81ddd257f732b80bb6f72e0c7"),
+    (6, "cover,poset", None, 0,
+     "6fddf3f2289a2d525d2e9e5c7c18fb5255a432afd3fa4b3bd6c34d16289ffb0a",
+     "6061f028408726339c849278353fd150f74af7ab9036645e5678dbc7d8278023"),
+    (6, "cover,poset,naive", None, 0,
+     "1049fa9390dd9e2f79fcb81e03ffd80ab556eebcb3d79136b9e0f474d14c4423",
+     "523d79f37152dd063e7ea09df996168e479f90a364f042b4bacbc6afa51b8704"),
+    (7, "cover,poset", None, 0,
+     "b3060d699a267cd47cb629ad7336285a79d5ab70ca3c0812e30ae8a7a9b8ea6d",
+     "2d302e267b00abb6cd5d3dff6b8858f9c02419a6375bd8909bf9ff56157eef08"),
+    (7, "cover,poset,naive", None, 0,
+     "bc33744c19142edf61bab8c63b887c003ba117cdc7c51ec6cbc369892368f3dc",
+     "8fdce3d74aec4c136916b155618298857c5e96cc559aa19b95564b1111098d43"),
+    (8, "cover,poset", None, 0,
+     "ff7b93c335ba15a4ff5c7d6e090aa86c0a2a7cd031fe0393ead6d6edf351dde1",
+     "b6de1fdc7957ac07be098cea14d61e19619f007c30c009b01b170c3ac413b865"),
+    (8, "cover,poset,naive", None, 0,
+     "79ba6cc4af71db090bdd562860b979e3353ab3043310ed388a110475762097c6",
+     "c60b85677375e2b7227b5099191e5e87e25990fd2e03522ecfbf4d2e2ca22f46"),
+    (10, "cover,poset", 300, 4,
+     "6bc99f979e1e2f7a79c431b2c8bb1f4d57ee418dc024b1b6c729745aed72b111",
+     "6b13c89b7c03d3fdb466b00e2151e452625f13372ede5d2e0d71ecc564ac507a"),
+    (10, "cover,poset,naive", 300, 4,
+     "7e76c712ea9cf183e94b539a7c525a29f3b41e937dfb4b373ae050850f5e4bac",
+     "28aa9ed32441802fe15ad7261063c95489b5ddecb42d1707ae05e792734caa20"),
+    (12, "cover,poset", 100, 1,
+     "a6859df6a37619b3fe9f75ee25dca37de5d51b5ff897b289335ce24dd48fb23b",
+     "f9a410b7470465b3d22b740a2794610a866c28a848c0b4b67dbaa96890a81b3f"),
+    (12, "cover,poset,naive", 100, 1,
+     "ea64edf53c1c45c5d39cdc95f807d4b8b7449b34f47e726de10df4b45d751d24",
+     "cf66ed3078529e7c0baaf9b7cdf60e753cebe1734a18154f562ea2b30bedc5de"),
+]
+
+# (n, sampled perms, seed, sha256 of the --csv file with kinds cover,poset,naive)
+SEARCH_CSV_PINS = [
+    (5, None, 0, "468ef4c59d74710d65646113e8551d2fb7de71a660acc01e3c2a0ff81987726b"),
+    (10, 20, 4, "d46043123349b6979df356a8e7446ec332d2c0af2fb6962aba9045d0b3854f56"),
+]
+
+
+def _search_argv(n, kinds, sample, seed):
+    argv = ["search", "--n", str(n), "--kinds", kinds]
+    return argv + (["--sample-perms", str(sample), "--seed", str(seed)] if sample else [])
+
+
+@pytest.mark.parametrize("n, kinds, sample, seed, json_sha, stdout_sha", SEARCH_OUTPUT_PINS,
+                         ids=[f"{r[0]}-{r[1]}-{r[2]}" for r in SEARCH_OUTPUT_PINS])
+def test_search_command_bytes_pinned(n, kinds, sample, seed, json_sha, stdout_sha,
+                                     tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert cli.main(_search_argv(n, kinds, sample, seed) + ["--json", str(path)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
+    assert _sha256(path.read_bytes()) == json_sha
+
+
+@pytest.mark.parametrize("n, sample, seed, csv_sha", SEARCH_CSV_PINS,
+                         ids=[f"{r[0]}-{r[1]}" for r in SEARCH_CSV_PINS])
+def test_search_csv_bytes_pinned(n, sample, seed, csv_sha, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    argv = _search_argv(n, "cover,poset,naive", sample, seed) + ["--csv", str(path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert _sha256(path.read_bytes()) == csv_sha
