@@ -8,20 +8,29 @@ coefficients live in the prime field mod 2**31 - 1, so ranks are exact
 integers -- no tolerance tuning -- while generic behavior over a field
 this large matches the characteristic-zero picture.
 
-The flattening of the sampled tensor along any leaf split is an exact
-matrix rank computed by modular Gaussian elimination.  Flattenings are
-mostly skinny (say 4 x 16384), and a skinny matrix M is first ranked on
-a sub-block of 4k evenly spaced rows or columns of its long side, with
-k = min(rows, cols).  Deleting lines cannot raise a rank, so
-rank(sub) <= rank(M) <= min(rows, cols) = k: a sub-block of rank k
-certifies rank(M) = k exactly, and only a deficient sub-block leads to
-eliminating all of M.  No probability enters the answer; the choice of
-lines only decides how often the fallback runs.  Comparing the
-observed ranks at the nodes of a second (probe) tree against
-r**c * f'(node) gives a one-sided empirical check of a claimed
-containment exponent c: a violation disproves it, agreement is evidence
-only.  Basis matrices are certified full-rank at sampling time; a
-deficient draw (probability below dim/p) is resampled once and counted.
+The flattening of the sampled tensor along a leaf split S | S^c has an
+exact rank, bounded by T.  The tensor contracts one array per vertex (a
+leaf's basis, d_v x dim U_v; a node's coefficients, dim U_v x dim U_left
+x dim U_right; the root's folded vector) along T's edges, and edge
+(v, parent v) has size dim U_v.  Put every vertex on a side, each leaf
+on its own: contracting each side apart writes the flattening as A @ B
+with an inner index over the edges whose ends differ, so its rank is at
+most the product of their sizes.  `_cut_bound` finds the least such
+product u in one bottom-up pass that keeps, per vertex, the cheapest
+cost with the vertex on either side (a leaf on the far side cuts its own
+leg, of size d_v).  `flattening_rank` first ranks a sub-block of at most
+2u evenly spaced rows and columns: rank(sub) <= rank <= u, so a sub-block
+of rank u certifies the rank exactly, and only a deficient one leads to
+modular Gaussian elimination of the whole flattening.  `mat_rank`
+certifies a skinny matrix (say 4 x 16384) the same way, on 4k evenly
+spaced lines of its long side with k = min(rows, cols).  No probability
+enters any answer; the choice of lines only decides how often the
+fallback runs.  Comparing the observed ranks at the nodes of a second
+(probe) tree against r**c * f'(node) gives a one-sided empirical check
+of a claimed containment exponent c: a violation disproves it, agreement
+is evidence only.  Basis matrices are certified full-rank at sampling
+time; a deficient draw (probability below dim/p) is resampled once and
+counted.
 """
 
 from __future__ import annotations
@@ -91,7 +100,7 @@ def _eliminate(m: np.ndarray) -> int:
         if nz[0]:
             p = r + int(nz[0])
             m[[r, p], c:] = m[[p, r], c:]
-        inv = pow(int(m[r, c]), PRIME - 2, PRIME)
+        inv = pow(int(m[r, c]), -1, PRIME)
         mult = m[r + 1:, c] * inv % PRIME
         block = m[r + 1:, c + 1:]
         block -= np.outer(mult, m[r, c + 1:])
@@ -253,11 +262,41 @@ def _flat_matrix(tensor: SampledTensor, mask: int) -> np.ndarray:
     return flat.reshape(rows, -1)
 
 
+def _cut_bound(tensor: SampledTensor, mask: int) -> int:
+    """Least product of dim U_v over the edge cuts of T that split mask off."""
+    spec, dims = tensor.spec, tensor.subspace_dims
+    t = spec.tree
+    cost = [None] * t.size      # per vertex: (off mask's side, on it)
+    for v in range(t.size - 1, -1, -1):
+        if t.is_leaf(v):
+            leg = spec.leaf_dims[t.leaf_number(v) - 1]
+            cost[v] = (leg, 1) if t.desc_masks[v] & mask else (1, leg)
+        else:   # a child on the other side pays its own edge
+            (a0, a1), ka = cost[t.left[v]], dims[t.left[v]]
+            (b0, b1), kb = cost[t.right[v]], dims[t.right[v]]
+            cost[v] = (min(a0, a1 * ka) * min(b0, b1 * kb), min(a1, a0 * ka) * min(b1, b0 * kb))
+    return min(cost[t.root])
+
+
 def flattening_rank(tensor: SampledTensor, mask: int) -> int:
-    """Exact rank of the tensor reshaped along the split (mask | rest)."""
-    full = tensor.spec.tree.full_mask
+    """Exact rank of the tensor reshaped along the split (mask | rest).
+
+    A sub-block whose rank reaches the cut bound certifies the answer.
+    """
+    spec, full = tensor.spec, tensor.spec.tree.full_mask
     if mask == 0 or mask == full:
         raise ValueError("flattening needs a nonempty proper leaf subset")
+    u = _cut_bound(tensor, mask)
+    strides = np.array([math.prod(spec.leaf_dims[i + 1:]) for i in range(spec.tree.n)])
+    offsets = []
+    for side in (mask, full ^ mask):
+        axes = [l - 1 for l in leaves_of_mask(side)]
+        shape = [spec.leaf_dims[i] for i in axes]
+        size = math.prod(shape)
+        lines = np.linspace(0, size - 1, min(2 * u, size)).round().astype(np.intp)
+        offsets.append(strides[axes] @ np.unravel_index(lines, shape))
+    if mat_rank(tensor.coeffs[offsets[0][:, None] + offsets[1]]) == u:
+        return u
     return mat_rank(_flat_matrix(tensor, mask))
 
 

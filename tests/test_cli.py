@@ -97,6 +97,47 @@ def test_instance_commands_call_cover_exponent_once(capsys, monkeypatch, argv, s
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == stdout_sha256
 
 
+# verify-ranks jobs at (n, d) = (8, 4), (12, 2), (16, 2) with r in {2, 4}, two
+# trials each, and the sha256 of their stdout (taken before flattening ranks
+# were certified against the cut bound)
+RANK_JOBS = [
+    ("(.((.(..))(((..).).)))", "((((.(.(..))).)(..)).)", "8-2-3-6-4-1-7-5", 4, 2, 695,
+     "4154a1d2078df4f254cae98f9e581f61291cb4b344986caf2d9da8ccc3f8cb8b"),
+    ("((.(..))(((..).)(..)))", "(((.(((..).).)).)(..))", "7-6-1-3-8-2-4-5", 4, 4, 372,
+     "058fd6f9235c2e4fc44fbca374fd5859bdc7bf6a45c17dbbc2dbcb2b7fda47fe"),
+    ("(((.((..).))(.((..).)))((..)(..)))", "((((.((.(..)).))(.(..)))(..))(..))",
+     "1-9-7-12-5-10-6-11-2-4-8-3", 2, 2, 685,
+     "71bd7b2c4c2c68a1f43bd34c8f41e16ca562f4e8239af91ff540e0ea6fa3e7b8"),
+    ("((((..)(..)).)(((..).)(.(.(..)))))", "((((.(..))(((..)(..)).)).)(.(..)))",
+     "3-12-1-9-7-10-4-5-11-2-8-6", 2, 4, 924,
+     "90c424873de1fc58388f8b522e8354f4f2827d9464406afbcbbb7679d2a7534a"),
+    ("(((.(..))((.((..).)).))(.(.(((.(..)).)(..)))))",
+     "((..)(((((.(..))(..))(((..).).))((.(..)).)).))",
+     "6-1-11-4-8-14-15-13-3-7-2-16-9-12-10-5", 2, 2, 532,
+     "bfebc99a2607f2a827139dbba4cf7605d53321fb388039bf1130053b4747c964"),
+    ("((((..)(..))((.(.(((..).)(..))))(..)))((..).))",
+     "(((.(..))(((.(..)).).))(((..)((..).))(.(..))))",
+     "5-10-12-14-2-6-7-8-16-9-15-3-11-4-1-13", 2, 4, 132,
+     "745040940a73a5aacfe08c21b9bc8e5c318c0d80b8eaf4908e2bf9898fd55750"),
+]
+
+
+@pytest.mark.parametrize("tree, probe, perm, dims, r, seed, stdout_sha256", RANK_JOBS,
+                         ids=["8-4-r2", "8-4-r4", "12-2-r2", "12-2-r4", "16-2-r2", "16-2-r4"])
+def test_verify_ranks_stdout_is_pinned(capsys, monkeypatch, tree, probe, perm, dims, r,
+                                       seed, stdout_sha256):
+    # every split is certified on its sub-block: no whole flattening is built
+    from tnexp import ranks
+    whole = []
+    monkeypatch.setattr(ranks, "_flat_matrix", lambda *args: whole.append(args))
+    code, out, err = run_cli(capsys, "verify-ranks", "--tree", tree, "--probe", probe,
+                             "--perm", perm, "--dims", str(dims), "--r", str(r),
+                             "--trials", "2", "--seed", str(seed))
+    assert code == 0, err
+    assert not whole
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+
+
 def test_search_csv_json(capsys, tmp_path):
     csv_path = tmp_path / "n4.csv"
     json_path = tmp_path / "n4.json"

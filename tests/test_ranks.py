@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -283,14 +285,68 @@ def test_mat_rank_edge_inputs():
 
 
 def test_mat_rank_every_flattening_of_small_networks():
+    # mat_rank and the certified flattening_rank agree with plain
+    # elimination, and the cut bound lies above it, at every split
     for n in range(2, 8):
         for t in enumerate_shapes(n):
             full = t.full_mask
-            for d, r in ((2, 2), (3, 2)):
+            for d, r in ((2, 2), (3, 2), (2, 3)):
                 tensor = sample_tensor(NetworkSpec.create(t, leaf_dims=d, r=r), n)
                 for mask in range(1, full):
                     mat = ranks._flat_matrix(tensor, mask)
-                    assert mat_rank(mat) == _reference_rank(mat), (t.text, d, mask)
+                    rank = _reference_rank(mat)
+                    assert mat_rank(mat) == rank, (t.text, d, r, mask)
+                    assert ranks._cut_bound(tensor, mask) >= rank, (t.text, d, r, mask)
+                    assert flattening_rank(tensor, mask) == rank, (t.text, d, r, mask)
+
+
+def test_cut_bound_is_the_cheapest_edge_cut():
+    # tt:4 = (((1 2) 3) 4) at d = 4: dim U_v is 2 and 3 at leaves 1 and 2,
+    # 5 at (1 2), 4 at leaves 3 and 4, 3 at ((1 2) 3)
+    spec = NetworkSpec.create(build_tt(4), leaf_dims=4, f=(1, 3, 5, 2, 3, 4, 4), r=1)
+    tensor = sample_tensor(spec, 0)
+    for mask, bound in ((0b0001, 2),     # leaf 1's edge
+                        (0b0011, 5),     # the edge above (1 2), not 2 * 3
+                        (0b0101, 8),     # the edges of leaves 1 and 3
+                        (0b0111, 3),     # the edge above ((1 2) 3)
+                        (0b1000, 3)):    # the same edge, not leaf 4's 4
+        assert ranks._cut_bound(tensor, mask) == bound
+        assert ranks._cut_bound(tensor, tensor.spec.tree.full_mask ^ mask) == bound
+        assert flattening_rank(tensor, mask) == bound
+
+
+def test_flattening_rank_falls_back_when_the_sub_block_is_deficient(monkeypatch):
+    # a sum of two product states has rank <= 2 at every split, below most
+    # cut bounds of an r = 4 network, so those sub-blocks cannot certify
+    spec = NetworkSpec.create(build_tt(6), leaf_dims=2, r=4)
+    rng = np.random.default_rng(14)
+    state = np.zeros(spec.ambient_dim, dtype=np.int64)
+    for _ in range(2):
+        product = np.ones(1, dtype=np.int64)
+        for _ in range(6):
+            product = np.kron(product, rng.integers(0, PRIME, size=2)) % PRIME
+        state = (state + product) % PRIME
+    tensor = dataclasses.replace(sample_tensor(spec, 0), coeffs=state)
+    shapes = []
+    real = ranks.mat_rank
+
+    def recording(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(ranks, "mat_rank", recording)
+    fell_back = 0
+    for mask in range(1, tensor.spec.tree.full_mask):
+        flat = ranks._flat_matrix(tensor, mask)
+        shapes.clear()
+        rank = flattening_rank(tensor, mask)
+        assert rank == _reference_rank(flat) <= 2
+        if rank < ranks._cut_bound(tensor, mask):
+            assert len(shapes) == 2 and shapes[-1] == flat.shape
+            fell_back += 1
+        else:
+            assert len(shapes) == 1
+    assert fell_back > 40
 
 
 # ---------------------------------------------------------------------------
