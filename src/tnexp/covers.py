@@ -16,20 +16,37 @@ sets of v, and D(X) for the number of maximal descendant sets inside X.
 * Descendant sets only: each maximal descendant set inside S needs a
   set of its own, and those sets alone partition S, so D(S) is optimal.
 * One anti set a(v): a(v) lies in S exactly when S^c lies in d(v),
-  that is when v is lca(S^c) (the deepest vertex whose descendant set
-  contains S^c) or an ancestor of it.  The rest of the cover is
-  disjoint from a(v), so it covers S & d(v) by descendant sets, with
-  D(S & d(v)) of them.  For a strict ancestor v' of v = lca(S^c), no
-  descendant set inside S contains d(v) (d(v) meets S^c), so
-  D(S & d(v')) >= D(S & d(v)): the lca is the best choice.
+  that is when v is w = lca(S^c) (the deepest vertex whose descendant
+  set contains S^c) or an ancestor of it.  The rest of the cover is
+  disjoint from a(v), so it is the D(S & d(v)) maximal descendant sets
+  of S & d(v).  For a strict ancestor v of w, every sibling on the path
+  from w up to v lies in S and is one of those sets, so v costs strictly
+  more than w.
 
-Hence n_S = min(D(S), 1 + D(S & d(lca(S^c)))), with n_0 = 0 and
-n_full = 1; at the root the second term is 1 + D(S) and never wins.
-Production evaluates only this closed form, by two routes.  CoverCounter
-takes one subset at a time, up to LEAF_CAP leaves, for cover_exponent
-(and so bounds.poset_bound).  build_cover_table takes all 2^n subsets
-at once, vectorized, for the search.  The tests check both against a
-layered BFS over disjoint doad unions and a plain union search.
+Hence n_S = min(D(S), 1 + D(S & d(w))), with n_0 = 0 and n_full = 1; at
+the root the second term is 1 + D(S) and never wins.  CoverCounter.witness
+lists the cover this names as (vertex, kind, set) triples, and
+CoverCounter.count is its length.  A is the maximal descendant sets of S
+in preorder.  B, when w is not the root, is a(w) and then the maximal
+descendant sets of S & d(w) in preorder.  B is taken when it is shorter
+than A, or as long with w before A's first vertex; otherwise A.  The
+full set is (root, "desc") and the empty set has no sets.
+
+By the bullets, every optimal cover is A or B, so this is also the cover
+of the greedy search that the tests keep as the witness oracle: scan
+(vertex, kind) in preorder, "desc" first, and take the first doad set
+in an optimal cover of what remains.  Its first pick is the earliest
+vertex of an optimal cover, and a(w) comes before the rest of B, which
+lies below w.  After that pick only one of A and B is left (or both hold
+the same sets), so the rest is forced.  For the root's children u < v,
+d(u) = a(v) and d(v) = a(u) have two names each; a chosen A never holds
+v and a chosen B never has w = v, so the names are the greedy's.
+
+Production evaluates only this closed form: CoverCounter one subset at
+a time, up to LEAF_CAP leaves, for cover_exponent (and so
+bounds.poset_bound); build_cover_table all 2^n subsets at once,
+vectorized, for the search.  The tests check both against a layered BFS
+over disjoint doad unions and a plain union search.
 
 The containment exponent certificate for a pair (T, T') under a leaf
 permutation is then: for every internal node w of T', cover either the
@@ -58,7 +75,7 @@ from .trees import (
     instance_perm,
     leaves_of_mask,
     mask_lca,
-    maximal_desc_count,
+    maximal_desc_vertices,
     weight_vector,
 )
 
@@ -81,12 +98,9 @@ _TABLE_BLOCK = 1 << 16  # masks per block of build_cover_table
 # cover numbers
 
 class CoverCounter:
-    """Exact n_S for one leaf subset at a time, read off the tree.
-
-    n_S is the closed form of the module docstring, so any tree up to
-    LEAF_CAP leaves is answered, one query in time linear in the tree
-    size, without the 2^n table.
-    """
+    """The optimal cover that the closed form names, and its size n_S, for
+    one leaf subset at a time: up to LEAF_CAP leaves, in time linear in
+    the tree size, without the 2^n table."""
 
     __slots__ = ("tree",)
 
@@ -94,41 +108,26 @@ class CoverCounter:
         self.tree = tree
 
     def count(self, mask: int) -> int:
-        t = self.tree
-        full = t.full_mask
-        if mask == full:
-            return 1
-        if not mask:
-            return 0
-        # at the root the anti term is 1 + D(S), never below D(S)
-        lca_c = mask_lca(t, full ^ mask)
-        return min(maximal_desc_count(t, mask),
-                   1 + maximal_desc_count(t, mask & t.desc_masks[lca_c]))
+        return len(self.witness(mask))
 
     def witness(self, mask: int) -> tuple:
-        """One optimal decomposition of `mask` as (vertex, kind, set) triples.
-
-        Each step removes the doad set d inside what remains with
-        n(remaining ^ d) = k - 1 whose (vertex, kind) is smallest, "desc"
-        before "anti", so the result is pairwise disjoint and
-        deterministic.  A set is first reached at its smallest witness,
-        which is the one reported.
-        """
-        t, count = self.tree, self.count
-        full = t.full_mask
-        doads = [(vid, kind, d) for vid, d_v in enumerate(t.desc_masks)
-                 for kind, d in (("desc", d_v), ("anti", full ^ d_v)) if d]
-        out = []
-        remaining = mask
-        k = count(mask)
-        while remaining:
-            k -= 1
-            for vid, kind, d in doads:
-                if not d & ~remaining and count(remaining ^ d) == k:
-                    break
-            out.append((vid, kind, d))
-            remaining ^= d
-        return tuple(out)
+        """The optimal cover of `mask` as pairwise disjoint (vertex, kind,
+        set) triples: A or B of the module docstring."""
+        t = self.tree
+        full, dm = t.full_mask, t.desc_masks
+        if not 0 <= mask <= full:
+            raise ValueError("mask out of range for this tree")
+        if mask == full:
+            return ((t.root, "desc", full),)
+        if not mask:
+            return ()
+        a = maximal_desc_vertices(t, mask)
+        w = mask_lca(t, full ^ mask)
+        if w != t.root:
+            b = maximal_desc_vertices(t, mask & dm[w])
+            if (len(b) + 1, w) < (len(a), a[0]):
+                return ((w, "anti", full ^ dm[w]),) + tuple((v, "desc", dm[v]) for v in b)
+        return tuple((v, "desc", dm[v]) for v in a)
 
 
 def build_cover_table(t: Tree) -> np.ndarray:
@@ -234,15 +233,16 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
     counter = CoverCounter(t)
 
     full = t.full_mask
-    per_node = []
+    per_node, chosen_covers = [], []
     bound = 1
     for w in t_prime.internal:
         d_set = perm.pullback(t_prime.desc_masks[w])
         a_set = full ^ d_set
-        nd = counter.count(d_set)
-        na = counter.count(a_set)
+        d_cover, a_cover = counter.witness(d_set), counter.witness(a_set)
+        nd, na = len(d_cover), len(a_cover)
         chosen = "anti" if na < nd else "desc"
         per_node.append(NodeCover(t_prime.node_label(w), d_set, a_set, nd, na, chosen))
+        chosen_covers.append(a_cover if na < nd else d_cover)
         bound = max(bound, min(nd, na))
 
     # a 1-leaf T' has no internal node; its one doad set needs one set
@@ -250,11 +250,8 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
 
     witnesses = None
     if with_witnesses:
-        witnesses = {}
-        for nc in per_node:
-            side = nc.desc_set if nc.chosen == "desc" else nc.anti_set
-            witnesses[nc.label] = tuple(
-                (t.node_label(vid), kind, m) for vid, kind, m in counter.witness(side))
+        witnesses = {nc.label: tuple((t.node_label(vid), kind, m) for vid, kind, m in cover)
+                     for nc, cover in zip(per_node, chosen_covers)}
 
     return ExponentReport(
         tree=t.text, tree_prime=t_prime.text, perm=perm.one_line(),

@@ -19,11 +19,13 @@ most the product of their sizes.  `_cut_bound` finds the least such
 product u in one bottom-up pass that keeps, per vertex, the cheapest
 cost with the vertex on either side (a leaf on the far side cuts its own
 leg, of size d_v).  `flattening_rank` first ranks a sub-block of at most
-2u evenly spaced rows and columns: rank(sub) <= rank <= u, so a sub-block
+2u rows and 2u columns, line i of a side of size N being i * 2654435761
+mod N (the stride is a prime above AMBIENT_CAP, so the lines are
+distinct, and unlike evenly spaced lines they do not alias with the
+power-of-two mixed-radix index).  rank(sub) <= rank <= u, so a sub-block
 of rank u certifies the rank exactly, and only a deficient one leads to
-modular Gaussian elimination of the whole flattening.  `mat_rank`
-certifies a skinny matrix (say 4 x 16384) the same way, on 4k evenly
-spaced lines of its long side with k = min(rows, cols).  No probability
+ranking the whole flattening.  That is the one certificate; `mat_rank`
+itself is plain modular Gaussian elimination.  No probability
 enters any answer; the choice of lines only decides how often the
 fallback runs.  Comparing the observed ranks at the nodes of a second
 (probe) tree against r**c * f'(node) gives a one-sided empirical check
@@ -111,23 +113,10 @@ def _eliminate(m: np.ndarray) -> int:
 
 
 def mat_rank(a: np.ndarray) -> int:
-    """Exact rank of an integer matrix over the field mod PRIME.
-
-    A skinny matrix is first tried on 4k evenly spaced lines of its long
-    side (k = min(rows, cols)): rank(sub) <= rank(a) <= k, so a sub-block
-    of rank k certifies rank k exactly.  Otherwise the whole matrix is
-    eliminated.  Neither route transposes the input.
-    """
+    """Exact rank of an integer matrix over the field mod PRIME, by elimination."""
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("rank needs a 2-d array")
-    rows, cols = a.shape
-    k, long = min(rows, cols), max(rows, cols)
-    if long > 4 * k:
-        lines = np.linspace(0, long - 1, 4 * k).round().astype(np.intp)
-        sub = a[lines] if rows > cols else a[:, lines]
-        if _eliminate(sub % PRIME) == k:
-            return k
     return _eliminate(a % PRIME)
 
 
@@ -293,7 +282,8 @@ def flattening_rank(tensor: SampledTensor, mask: int) -> int:
         axes = [l - 1 for l in leaves_of_mask(side)]
         shape = [spec.leaf_dims[i] for i in axes]
         size = math.prod(shape)
-        lines = np.linspace(0, size - 1, min(2 * u, size)).round().astype(np.intp)
+        # a prime stride above AMBIENT_CAP: distinct lines, no aliasing
+        lines = np.arange(min(2 * u, size)) * 2654435761 % size
         offsets.append(strides[axes] @ np.unravel_index(lines, shape))
     if mat_rank(tensor.coeffs[offsets[0][:, None] + offsets[1]]) == u:
         return u

@@ -42,7 +42,7 @@ __all__ = [
     "all_permutations",
     "instance_perm",
     "mask_lca",
-    "maximal_desc_count",
+    "maximal_desc_vertices",
     "weight_vector",
     "mask_from_leaves",
     "leaves_of_mask",
@@ -381,17 +381,17 @@ def mask_lca(t: Tree, mask: int) -> int:
     return v
 
 
-def maximal_desc_count(t: Tree, mask: int) -> int:
-    """Number of maximal descendant sets inside a leaf mask.
+def maximal_desc_vertices(t: Tree, mask: int) -> list[int]:
+    """The vertices of the maximal descendant sets inside a leaf mask, in preorder.
 
     These are the vertices u with d(u) inside `mask` whose parent's
     descendant set is not; their descendant sets partition `mask`, and
-    they are the only exact cover of it by descendant sets.  Each part
-    is a subtree with one internal vertex fewer than leaves, so the
-    count is 2|mask| minus the number of vertices inside `mask`.
+    they are the only exact cover of it by descendant sets.
     """
     outside = ~mask
-    return 2 * mask.bit_count() - [d & outside for d in t.desc_masks].count(0)
+    inside = [not d & outside for d in t.desc_masks]
+    inside.append(False)        # read as the root's parent, -1
+    return [v for v, p in enumerate(t.parent) if inside[v] and not inside[p]]
 
 
 def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:

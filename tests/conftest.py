@@ -1,6 +1,6 @@
 """Shared fixtures: figure trees used across the suite, plus independent
-oracles (breadth-first union searches over the doad family) that the
-production code is checked against."""
+oracles (breadth-first union searches over the doad family and a greedy
+witness search) that the production code is checked against."""
 
 from __future__ import annotations
 
@@ -64,6 +64,32 @@ def bfs_cover_table(t: Tree) -> np.ndarray:
                 grown.append(ext)
         frontier = np.unique(np.concatenate(grown)) if grown else np.zeros(0, dtype=np.int64)
     return counts
+
+
+def greedy_witness(t: Tree, count, mask: int) -> tuple:
+    """One optimal decomposition of `mask` as (vertex, kind, set) triples, by
+    greedy search: the oracle for CoverCounter.witness.
+
+    `count` maps a leaf mask to n_S.  Each step removes the doad set d
+    inside what remains with n(remaining ^ d) = k - 1 whose (vertex, kind)
+    is smallest, "desc" before "anti", so the result is pairwise disjoint
+    and deterministic.  A set is first reached at its smallest witness,
+    which is the one reported.
+    """
+    full = t.full_mask
+    doads = [(vid, kind, d) for vid, d_v in enumerate(t.desc_masks)
+             for kind, d in (("desc", d_v), ("anti", full ^ d_v)) if d]
+    out = []
+    remaining = mask
+    k = count(mask)
+    while remaining:
+        k -= 1
+        for vid, kind, d in doads:
+            if not d & ~remaining and count(remaining ^ d) == k:
+                break
+        out.append((vid, kind, d))
+        remaining ^= d
+    return tuple(out)
 
 
 def random_tree(rng, n: int) -> Tree:

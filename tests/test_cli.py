@@ -97,6 +97,51 @@ def test_instance_commands_call_cover_exponent_once(capsys, monkeypatch, argv, s
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == stdout_sha256
 
 
+# `exponent ... --witnesses` on the seven exponent_mix benchmark instances of
+# seed 1, round 0 (n = 14..20), and past the table cap; the sha256 of stdout
+# was taken while the witnesses came from a greedy search over every doad set
+WITNESS_JOBS = [
+    (("((((.(.(..)))(..))(..))(((.(..)).)((..).)))",
+      "(((..)(.(.(.(.((..)(..)))))))(.((.(..)).)))",
+      "--perm", "3-2-12-7-14-10-1-5-15-11-13-6-4-9-8"),
+     "7ee58d6e6fd7fcb482d78403819fcb731a76b4e61a5d0b562c8381a9d0515c16"),
+    (("((((..).).)((((..)(..))(((.(..)).).))((..)((..).))))",
+      "((((.(((.(..)).).))((..).))((..).))((.((..).))(..)))",
+      "--perm", "16-15-2-10-3-5-11-18-7-14-12-9-4-13-1-8-17-6"),
+     "52b32aafcca104acc2586866d2d0de089773a87caa06593ae28d63da933df883"),
+    (("(((((..)((..).)).).)(((..)(..))((..).)))",
+      "(((.(..))((..)(..)))(((..)(.((..).))).))",
+      "--perm", "5-4-9-6-13-3-7-10-8-1-12-2-11-14"),
+     "33996489a33794198153b799d97134cb195e18b5a89f89271d78c2644fbd8f6f"),
+    (("(((.(..))(.(..)))((((..).)((((..).).)(..))).))",
+      "((..)((((..)(..)).)((.((..)(..)))(.(.(..))))))",
+      "--perm", "2-16-14-11-5-10-6-4-7-9-8-15-12-1-3-13"),
+     "600b777395b47d1337712e53bb5d8df35adfbf4cf9d0bf6349719089b067c4ec"),
+    (("((((((.((..).))(..))(.((..).))).)(..))(((..).)((..).)))",
+      "((.((.(..)).))((((..)((.((..).))(..)))(..))((.(..)).)))",
+      "--perm", "18-14-8-2-11-9-12-19-3-15-5-7-17-6-1-16-10-13-4"),
+     "7845e4b24be755ce3e45e1b5c5b9a815913cf57998179887b0cc70e3446bd631"),
+    (("(((.(..))(((..).).))(((.(.(..)))((..)(.(..))))((..)(..))))",
+      "((((.(..))(.(..)))((..)((..)(..))))(.((.(.(..)))(.(..)))))",
+      "--perm", "12-4-11-14-16-7-1-13-17-2-9-10-15-6-5-20-8-18-19-3"),
+     "6ece3245963bc5218f278c008a7132de474b7dc7381b3d22c604b99c09642edd"),
+    (("(((..).)((.((.((..).))(.((.(.(..)))(.(..)))))).))",
+      "((((((..).)(..))(.((..).)))(.(.(..))))(((..).).))",
+      "--perm", "1-15-3-4-12-16-9-5-17-8-10-6-14-2-7-11-13"),
+     "7755e2f62da5aedeb29e44d0432aeda9724f7b90ba45d3ca8cb9a934294e5dd5"),
+    (("ht:5", "tt:32"),
+     "eced960a8ef50a55942eae5435da96eb9f343915bc68764aa74ea43e44ed1cd4"),
+]
+
+
+@pytest.mark.parametrize("args, stdout_sha256", WITNESS_JOBS,
+                         ids=["n15", "n18", "n14", "n16", "n19", "n20", "n17", "ht5-tt32"])
+def test_exponent_witnesses_stdout_is_pinned(capsys, args, stdout_sha256):
+    code, out, err = run_cli(capsys, "exponent", *args, "--witnesses")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+
+
 # verify-ranks jobs at (n, d) = (8, 4), (12, 2), (16, 2) with r in {2, 4}, two
 # trials each, and the sha256 of their stdout (taken before flattening ranks
 # were certified against the cut bound)

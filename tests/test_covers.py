@@ -6,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import NOT_SHARP_A, NOT_SHARP_B, bfs_cover_table, brute_cover_table, random_tree
+from conftest import (
+    NOT_SHARP_A,
+    NOT_SHARP_B,
+    bfs_cover_table,
+    brute_cover_table,
+    greedy_witness,
+    random_tree,
+)
 from tnexp import covers
 from tnexp.covers import (
     CoverCounter,
@@ -134,6 +141,24 @@ def test_witness_decompositions():
                 union |= m
             assert union == mask
             assert CoverCounter(t).witness(mask) == wit  # deterministic
+
+
+def test_witness_matches_greedy_oracle():
+    for t in ORACLE_TREES:
+        counter, table = CoverCounter(t), bfs_cover_table(t)
+        step = 7 if t.n > 12 else 1   # as in test_witness_decompositions
+        for mask in range(0, t.full_mask + 1, step):
+            assert counter.witness(mask) == greedy_witness(t, table.item, mask), (t, mask)
+
+
+def test_counter_rejects_masks_outside_the_leaf_set():
+    counter = CoverCounter(build_tt(4))
+    assert counter.count(0) == 0 and counter.count(15) == 1
+    for mask in (-1, 16):
+        with pytest.raises(ValueError, match="out of range"):
+            counter.count(mask)
+        with pytest.raises(ValueError, match="out of range"):
+            counter.witness(mask)
 
 
 def test_exponent_past_table_cap_matches_ip():

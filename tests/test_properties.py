@@ -1,4 +1,4 @@
-"""Bounded property tests on random trees with at most 14 leaves.
+"""Bounded property tests on random trees with at most 16 leaves.
 
 Every test draws at most 50 examples with a fixed derivation seed
 (derandomize), so the suite stays fast and repeatable.
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_cover_table
+from conftest import bfs_cover_table, greedy_witness
 from tnexp.covers import CoverCounter, build_cover_table, cover_exponent
 from tnexp.ilp import build_ip, solve_ip
 from tnexp.trees import Permutation, parse_tree
@@ -66,6 +66,16 @@ def test_counter_matches_bfs_table(t):
     table = bfs_cover_table(t)
     count = CoverCounter(t).count
     assert [count(m) for m in range(1 << t.n)] == table.tolist()
+
+
+@BOUNDED
+@given(trees(max_leaves=16).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(st.integers(0, t.full_mask), max_size=20))))
+def test_witness_matches_greedy_oracle(case):
+    t, masks = case
+    table, counter = build_cover_table(t), CoverCounter(t)
+    for mask in masks:
+        assert counter.witness(mask) == greedy_witness(t, table.item, mask)
 
 
 @BOUNDED

@@ -248,26 +248,6 @@ def test_mat_rank_skinny_products_both_orientations():
                 assert mat_rank(mat) == _reference_rank(mat) == rank
 
 
-def test_mat_rank_falls_back_when_the_sub_block_is_deficient(monkeypatch):
-    # every row but row 1 lies in a 3-dimensional space; no evenly spaced
-    # choice of 16 of the 64 rows that starts at row 0 takes row 1
-    rng = np.random.default_rng(12)
-    m = _low_rank(rng, 64, 4, 3)
-    m[1] = rng.integers(0, PRIME, size=4)
-    shapes = []
-    eliminate = ranks._eliminate
-
-    def recording(block):
-        shapes.append(block.shape)
-        return eliminate(block)
-
-    monkeypatch.setattr(ranks, "_eliminate", recording)
-    for mat in (m, m.T):
-        shapes.clear()
-        assert mat_rank(mat) == _reference_rank(mat) == 4
-        assert len(shapes) == 2 and shapes[-1] == mat.shape
-
-
 def test_mat_rank_edge_inputs():
     rng = np.random.default_rng(13)
     cases = [np.zeros((3, 40), dtype=np.int64), np.zeros((40, 3), dtype=np.int64),
@@ -277,9 +257,14 @@ def test_mat_rank_edge_inputs():
     cases += [big + PRIME, big - 2 * PRIME, (big + PRIME).T,
               rng.integers(-3 * PRIME, 3 * PRIME, size=(5, 30), dtype=np.int64),
               np.full((4, 4), PRIME, dtype=np.int64)]
+    # every row but row 1 lies in a 3-dimensional space
+    odd = _low_rank(rng, 64, 4, 3)
+    odd[1] = rng.integers(0, PRIME, size=4)
+    cases += [odd, odd.T]
     for mat in cases:
         assert mat_rank(mat) == _reference_rank(mat)
     assert mat_rank(big - 2 * PRIME) == 3
+    assert mat_rank(odd) == mat_rank(odd.T) == 4
     with pytest.raises(ValueError):
         mat_rank(np.zeros(4, dtype=np.int64))
 
@@ -313,6 +298,19 @@ def test_cut_bound_is_the_cheapest_edge_cut():
         assert ranks._cut_bound(tensor, mask) == bound
         assert ranks._cut_bound(tensor, tensor.spec.tree.full_mask ^ mask) == bound
         assert flattening_rank(tensor, mask) == bound
+
+
+def test_stride_sub_blocks_certify_every_split(monkeypatch):
+    # evenly spaced lines alias with the power-of-two mixed-radix index of
+    # this network and missed rank u on 24 of its splits
+    tensor = sample_tensor(NetworkSpec.create(build_ht(3), leaf_dims=4, r=4), 0)
+
+    def refuse(*_):
+        raise AssertionError("the whole flattening was built")
+
+    monkeypatch.setattr(ranks, "_flat_matrix", refuse)
+    for mask in range(1, tensor.spec.tree.full_mask):
+        assert flattening_rank(tensor, mask) == ranks._cut_bound(tensor, mask)
 
 
 def test_flattening_rank_falls_back_when_the_sub_block_is_deficient(monkeypatch):

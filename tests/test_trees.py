@@ -17,7 +17,7 @@ from tnexp.trees import (
     leaves_of_mask,
     mask_from_leaves,
     mask_lca,
-    maximal_desc_count,
+    maximal_desc_vertices,
     parse_tree,
 )
 
@@ -287,8 +287,8 @@ def test_lca_examples():
 def test_maxima_example():
     # leaves other than leaf 1: the sibling leaf and the whole right subtree
     t = build_ht(2)
-    assert maximal_desc_count(t, 0b1110) == 2
-    assert maximal_desc_count(t, t.full_mask) == 1
+    assert maximal_desc_vertices(t, 0b1110) == [t.leaf_vertex(2), t.labels.index("1")]
+    assert maximal_desc_vertices(t, t.full_mask) == [t.root]
 
 
 def _lca(t, vs):
@@ -301,10 +301,11 @@ def _lca(t, vs):
     return t.labels.index(lo[:i])
 
 
-def _maxima_count(t, vs):
-    """Number of vertices in vs with no strict ancestor (label prefix) in vs."""
+def _maxima(t, vs):
+    """The vertices in vs with no strict ancestor (label prefix) in vs."""
     labset = {t.labels[v] for v in vs}
-    return sum(1 for lab in labset if not any(lab[:k] in labset for k in range(len(lab))))
+    return {t.labels.index(lab) for lab in labset
+            if not any(lab[:k] in labset for k in range(len(lab)))}
 
 
 def test_mask_queries_match_vertex_queries():
@@ -315,7 +316,9 @@ def test_mask_queries_match_vertex_queries():
                 leaves = [t.leaf_vertex(l) for l in leaves_of_mask(mask)]
                 assert mask_lca(t, mask) == _lca(t, leaves)
                 inside = [v for v in range(t.size) if not dm[v] & ~mask]
-                assert maximal_desc_count(t, mask) == _maxima_count(t, inside)
+                got = maximal_desc_vertices(t, mask)
+                assert got == sorted(got)   # preorder
+                assert set(got) == _maxima(t, inside)
 
 
 # ---------------------------------------------------------------------------
