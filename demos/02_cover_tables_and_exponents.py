@@ -2,8 +2,9 @@
 """Cover tables and the cover-based containment exponent.
 
 Computes minimum doad covers of leaf subsets, by the closed form one
-subset at a time and by the BFS table over every subset, then uses them
-to certify exponents for tree pairs under leaf permutations.
+subset at a time and by the same closed form vectorized over every
+subset, then uses them to certify exponents for tree pairs under leaf
+permutations, and weighs them for the all-r trivial containment test.
 """
 
 from tnexp import (

@@ -42,27 +42,45 @@ the same sets), so the rest is forced.  For the root's children u < v,
 d(u) = a(v) and d(v) = a(u) have two names each; a chosen A never holds
 v and a chosen B never has w = v, so the names are the greedy's.
 
-Production evaluates only this closed form: CoverCounter one subset at
-a time, up to LEAF_CAP leaves, for cover_exponent (and so
-bounds.poset_bound); build_cover_table all 2^n subsets at once,
-vectorized, for the search.  The tests check both against a layered BFS
-over disjoint doad unions and a plain union search.
-
 The containment exponent certificate for a pair (T, T') under a leaf
 permutation is then: for every internal node w of T', cover either the
 pulled-back descendant set or its complement, and take the worst node.
 Leaf nodes of T' always need exactly one singleton doad, so the bound is
 floored at 1; the root contributes nothing (its anti side is empty).
 
-The f-weighted variant minimizes the product of a positive vertex
-weight over the witnessing vertices instead of the count; it backs the
-trivial-containment test, which upgrades the asymptotic containment to
-one valid for every scaling factor r.
+Weighted covers back the trivial-containment test, valid for every
+scaling factor r.  CoverCounter(T, f) takes positive vertex weights; a
+doad set weighs its cheapest name (weight, vertex, kind), and exact
+covers rank by product of weights, then size, then first vertex in
+preorder (at f = 1, the count and tie-break above).  In general:
+
+* Least covers of proper sets stay disjoint, since a dropped nested set
+  weighs >= 1.  The cheapest split of d(v) into descendant sets is d(v)
+  alone or its children's splits joined, tabulated once; joining the
+  splits of S's maximal descendant sets gives the best cover of S
+  without an anti set.
+* Strict ancestors x of w can now win with a cheap a(x).  The rest of
+  that cover splits S & d(x), that is S & d(w) and the sibling subtrees
+  on the path, so one pass up to a child of the root joins each
+  sibling's split in turn.  At f = 1 each step adds sets: A or B wins.
+* The full set admits overlapping pairs: two overlapping sets of a least
+  cover union to every leaf, so it is just a(x) and a non-full set
+  holding d(x).  The least cover is the root's split or, for a non-root
+  x, a(x) joined with d(x)'s split or one such set; the loop is skipped
+  when the root's split is one set of weight 1, which nothing beats.
+
+Production evaluates covers only so: CoverCounter per subset, up to
+LEAF_CAP leaves, for cover_exponent (and so bounds.poset_bound),
+min_product_cover and check_trivial_containment; build_cover_table all
+2^n counts at once, vectorized, for the search.  The tests check them
+against BFS and plain union searches, for counts and weighted products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -71,7 +89,6 @@ from .trees import (
     LEAF_CAP,
     Permutation,
     Tree,
-    doad_family,
     instance_perm,
     leaves_of_mask,
     mask_lca,
@@ -98,36 +115,67 @@ _TABLE_BLOCK = 1 << 16  # masks per block of build_cover_table
 # cover numbers
 
 class CoverCounter:
-    """The optimal cover that the closed form names, and its size n_S, for
-    one leaf subset at a time: up to LEAF_CAP leaves, in time linear in
-    the tree size, without the 2^n table."""
+    """Least exact doad covers, one leaf subset at a time, under vertex
+    weights f as trees.weight_vector reads them; at f = 1, A or B."""
 
-    __slots__ = ("tree",)
+    __slots__ = ("tree", "_split", "_anti", "_sets")
 
-    def __init__(self, tree: Tree):
-        self.tree = tree
+    def __init__(self, tree: Tree, f=1):
+        self.tree = t = tree
+        f = weight_vector(t, f)
+        full, dm = t.full_mask, t.desc_masks
+        desc = [(f[v], 1, v, ((v, "desc", dm[v]),)) for v in range(t.size)]
+        anti = [(f[v], 1, v, ((v, "anti", full ^ dm[v]),)) for v in range(t.size)]
+        if t.n > 1:   # the root's children u, v share sets: d(u) = a(v), d(v) = a(u)
+            u, v = t.left[t.root], t.right[t.root]
+            desc[u] = anti[v] = min(desc[u], anti[v])
+            desc[v] = anti[u] = min(desc[v], anti[u])
+        self._anti, self._sets = anti, desc[1:] + anti[1:]   # one per non-full set
+        self._split = split = desc                           # children first
+        for v in range(t.size - 1, -1, -1):
+            if not t.is_leaf(v):
+                split[v] = min(split[v], _join(split[t.left[v]], split[t.right[v]]), key=_RANK)
 
     def count(self, mask: int) -> int:
         return len(self.witness(mask))
 
     def witness(self, mask: int) -> tuple:
-        """The optimal cover of `mask` as pairwise disjoint (vertex, kind,
-        set) triples: A or B of the module docstring."""
+        """The least cover of `mask` as (vertex, kind, set) triples in preorder."""
+        return self.cover(mask)[1]
+
+    def cover(self, mask: int) -> tuple:
+        """(f-product, witness) of the least exact cover of `mask`."""
         t = self.tree
-        full, dm = t.full_mask, t.desc_masks
+        full, dm, split, anti = t.full_mask, t.desc_masks, self._split, self._anti
         if not 0 <= mask <= full:
             raise ValueError("mask out of range for this tree")
         if mask == full:
-            return ((t.root, "desc", full),)
-        if not mask:
-            return ()
-        a = maximal_desc_vertices(t, mask)
-        w = mask_lca(t, full ^ mask)
-        if w != t.root:
-            b = maximal_desc_vertices(t, mask & dm[w])
-            if (len(b) + 1, w) < (len(a), a[0]):
-                return ((w, "anti", full ^ dm[w]),) + tuple((v, "desc", dm[v]) for v in b)
-        return tuple((v, "desc", dm[v]) for v in a)
+            best = split[t.root]
+            if best[:2] != (1, 1):            # one set of weight 1 is unbeatable
+                for x in range(1, t.size):
+                    for c in [split[x]] + [c for c in self._sets if not dm[x] & ~c[3][0][2]]:
+                        best = min(best, _join(anti[x], c), key=_RANK)
+        else:
+            parts = maximal_desc_vertices(t, mask)
+            best = reduce(_join, [split[v] for v in parts], _EMPTY)
+            x = mask_lca(t, full ^ mask)    # S & d(x)'s parts are S's inside d(x)
+            inner = reduce(_join, [split[v] for v in parts if not dm[v] & ~dm[x]], _EMPTY)
+            while x != t.root:                # a(x) plus the split of S & d(x)
+                best = min(best, _join(anti[x], inner), key=_RANK)
+                p = t.parent[x]
+                inner = _join(inner, split[t.left[p] + t.right[p] - x])
+                x = p
+        return best[0], tuple(sorted(best[3]))
+
+
+# A cover in the walk is (product, size, first vertex, (vertex, kind, set) triples),
+# ranked by its first three entries; min() keeps the earlier cover on a tie.
+_RANK = itemgetter(slice(3))
+_EMPTY = (1, 0, 2 * LEAF_CAP, ())
+
+
+def _join(a, b) -> tuple:
+    return a[0] * b[0], a[1] + b[1], min(a[2], b[2]), a[3] + b[3]
 
 
 def build_cover_table(t: Tree) -> np.ndarray:
@@ -262,71 +310,12 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
 # ---------------------------------------------------------------------------
 # f-weighted covers and trivial containment
 
-class _ProductCover:
-    """Memoized minimum f-product doad covers of one tree."""
-
-    def __init__(self, t: Tree, f):
-        self.t = t
-        self.f = weight_vector(t, f)
-        self.family = doad_family(t)
-        # cheapest witness per doad set: weight, then (vertex, kind) tiebreak
-        self.weight = {}
-        self.best_wit = {}
-        for m in self.family.masks:
-            w, vid, kind = min(
-                (self.f[vid], vid, kind) for vid, kind in self.family.witnesses[m])
-            self.weight[m] = w
-            self.best_wit[m] = (vid, kind)
-        self._memo = {0: (1, ())}
-
-    def query(self, mask: int):
-        """(minimum product, witness triples) for an exact cover of mask."""
-        full = self.t.full_mask
-        if mask != full:
-            return self._disjoint(mask)
-        # the full leaf set also admits irredundant covers by two
-        # overlapping doads; anything larger reduces to these or to a
-        # disjoint cover
-        best = self._disjoint(mask)
-        masks = self.family.masks
-        for i, a in enumerate(masks):
-            for b in masks[i:]:
-                if a | b == full:
-                    p = self.weight[a] * self.weight[b]
-                    if p < best[0]:
-                        best = (p, (self._wit(a), self._wit(b)))
-        return best
-
-    def _wit(self, m: int):
-        vid, kind = self.best_wit[m]
-        return (vid, kind, m)
-
-    def _disjoint(self, mask: int):
-        memo = self._memo
-        if mask in memo:
-            return memo[mask]
-        low = mask & -mask
-        best = None
-        for d in self.family.masks:
-            if not d & low or d & ~mask:
-                continue
-            sub_p, sub_w = self._disjoint(mask ^ d)
-            p = self.weight[d] * sub_p
-            if best is None or p < best[0]:
-                best = (p, (self._wit(d),) + sub_w)
-        memo[mask] = best
-        return best
-
-
 def min_product_cover(t: Tree, f, mask: int):
-    """Minimum product of vertex weights over doad covers of `mask`.
-
-    Returns (product, witness) where witness is a tuple of
-    (vertex, kind, set) triples whose sets union to `mask` exactly.
+    """CoverCounter(t, f).cover: (product, witness) of the exact doad cover
+    of `mask` of least f-product, and of fewest sets among those.  The
+    witness is (vertex, kind, set) triples in preorder.
     """
-    if mask < 0 or mask > t.full_mask:
-        raise ValueError("mask out of range for this tree")
-    return _ProductCover(t, f).query(mask)
+    return CoverCounter(t, f).cover(mask)
 
 
 @dataclass(frozen=True)
@@ -334,8 +323,8 @@ class TrivialContainment:
     """Outcome of the per-node product test between two weighted networks.
 
     When `ok` is true the containment holds for every scaling factor r,
-    with exponent `sets_used` (the largest number of doad sets in any
-    chosen cover).
+    with exponent `sets_used`: the most doad sets in a chosen cover, where
+    each node takes the side of least (product, size) cover, desc on a tie.
     """
 
     ok: bool
@@ -366,7 +355,7 @@ def check_trivial_containment(t: Tree, f, t_prime: Tree, f_prime,
     """
     perm = instance_perm(t, t_prime, perm)
     fp = weight_vector(t_prime, f_prime)
-    pc = _ProductCover(t, f)
+    cover = CoverCounter(t, f).cover
     full = t.full_mask
 
     per_node = []
@@ -375,10 +364,10 @@ def check_trivial_containment(t: Tree, f, t_prime: Tree, f_prime,
     for v in range(t_prime.size):
         d_set = perm.pullback(t_prime.desc_masks[v])
         a_set = full ^ d_set
-        pd, wd = pc.query(d_set)
-        pa, wa = pc.query(a_set)
+        pd, wd = cover(d_set)
+        pa, wa = cover(a_set)
         product, side, wit = min((pd, "desc", wd), (pa, "anti", wa),
-                                 key=lambda x: (x[0], x[1] != "desc"))
+                                 key=lambda x: (x[0], len(x[2]), x[1] != "desc"))
         lab = t_prime.node_label(v)
         per_node.append((lab, side, product, fp[v], wit))
         sets_used = max(sets_used, len(wit))

@@ -1,6 +1,7 @@
 """Shared fixtures: figure trees used across the suite, plus independent
-oracles (breadth-first union searches over the doad family and a greedy
-witness search) that the production code is checked against."""
+oracles (breadth-first union searches over the doad family, a weighted
+union relaxation and a greedy witness search) that the production code
+is checked against."""
 
 from __future__ import annotations
 
@@ -38,6 +39,32 @@ def brute_cover_table(t: Tree) -> list[int]:
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def brute_product_table(t: Tree, f) -> list[tuple[int, int]]:
+    """(product, size) of the least exact cover of every leaf subset under
+    per-vertex weights f, by relaxing over unions of doad sets (overlaps
+    allowed) until nothing changes: the oracle for weighted covers.
+
+    A doad set weighs the least f over the vertices that name it, and
+    covers compare by product, then by number of sets.
+    """
+    weight = {m: min(f[v] for v, _ in ws) for m, ws in doad_family(t).witnesses.items()}
+    best = [None] * (1 << t.n)
+    best[0] = (1, 0)
+    changed = True
+    while changed:
+        changed = False
+        for m, cover in enumerate(best):
+            if cover is None:
+                continue
+            p, k = cover
+            for d, w in weight.items():
+                c = (p * w, k + 1)
+                if best[m | d] is None or c < best[m | d]:
+                    best[m | d] = c
+                    changed = True
+    return best
 
 
 def bfs_cover_table(t: Tree) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from conftest import (
     NOT_SHARP_B,
     bfs_cover_table,
     brute_cover_table,
+    brute_product_table,
     greedy_witness,
     random_tree,
 )
@@ -159,6 +161,8 @@ def test_counter_rejects_masks_outside_the_leaf_set():
             counter.count(mask)
         with pytest.raises(ValueError, match="out of range"):
             counter.witness(mask)
+        with pytest.raises(ValueError, match="out of range"):
+            min_product_cover(build_tt(4), 2, mask)
 
 
 def test_exponent_past_table_cap_matches_ip():
@@ -370,6 +374,31 @@ def test_product_rejects_bad_weights():
         min_product_cover(t, [1] * (t.size - 1), 1)
 
 
+def test_product_cover_matches_relaxation_oracle():
+    # every mask of every shape up to 7 leaves, one seeded weight draw each
+    rng = random.Random(19)
+    for n in range(2, 8):
+        for t in enumerate_shapes(n):
+            f = [rng.choice((1, 1, 2, 3, 5)) for _ in range(t.size)]
+            cover = CoverCounter(t, f).cover
+            for mask, want in enumerate(brute_product_table(t, f)):
+                product, wit = cover(mask)
+                assert (product, len(wit)) == want
+                assert product == math.prod(f[v] for v, _, _ in wit)
+                union = 0
+                for _, _, m in wit:
+                    union |= m
+                assert union == mask
+
+
+def test_product_cover_takes_fewest_sets_on_ties():
+    # every cover has product 1 under f = 1; the single doad set d("1") wins
+    t = build_ht(3)
+    product, wit = min_product_cover(t, 1, mask_from_leaves([5, 6, 7, 8]))
+    assert product == 1
+    assert [m for _, _, m in wit] == [t.desc_masks[t.labels.index("1")]]
+
+
 # ---------------------------------------------------------------------------
 # trivial containment
 
@@ -377,6 +406,12 @@ def test_all_ones_network_trivially_contained():
     for t, t2 in itertools.product(enumerate_shapes(5), repeat=2):
         rep = check_trivial_containment(t, 1, t2, 1)
         assert rep.ok
+
+
+def test_tree_in_itself_needs_one_set_per_node():
+    # the root's full set is one set of weight 1, not a partition
+    t = build_ht(3)
+    assert check_trivial_containment(t, 1, t, 1).sets_used == 1
 
 
 def test_trivial_containment_ht2_tt4():

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_cover_table, greedy_witness
+from conftest import bfs_cover_table, brute_product_table, greedy_witness
 from tnexp.covers import CoverCounter, build_cover_table, cover_exponent
 from tnexp.ilp import build_ip, solve_ip
 from tnexp.trees import Permutation, parse_tree
@@ -66,6 +66,16 @@ def test_counter_matches_bfs_table(t):
     table = bfs_cover_table(t)
     count = CoverCounter(t).count
     assert [count(m) for m in range(1 << t.n)] == table.tolist()
+
+
+@BOUNDED
+@given(trees(max_leaves=10).flatmap(lambda t: st.tuples(
+    st.just(t), st.lists(st.sampled_from((1, 1, 2, 3, 5)), min_size=t.size, max_size=t.size))))
+def test_weighted_cover_matches_relaxation_oracle(case):
+    t, f = case
+    cover = CoverCounter(t, f).cover
+    got = [cover(m) for m in range(1 << t.n)]
+    assert [(p, len(wit)) for p, wit in got] == brute_product_table(t, f)
 
 
 @BOUNDED
