@@ -10,7 +10,7 @@ are upper bounds for the exact cover number:
   form over the ancestor/descendant poset of the covering tree, exact
   by the covers module docstring, so the poset bound equals the cover
   bound: poset_bound reads cover_exponent's per-node pairs, and
-  poset_table tabulates the closed form as the tests' oracle;
+  poset_table takes the cheaper side of build_cover_table per subset;
 * heights: a plane tree embeds into the same-width comb tree with
   exponent 1 + max_l min(h_l, h*_{l+1}), where h counts the 1s before
   the final 0 of a leaf's path label and h* dually;
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covers import CoverCounter, cover_exponent
+from .covers import build_cover_table, cover_exponent
 from .trees import Permutation, Tree, build_tt, heights, leaves_of_mask
 
 __all__ = [
@@ -72,15 +72,14 @@ def trivial_bound(n: int) -> BoundValue:
 # poset bound
 
 def poset_table(t: Tree) -> np.ndarray:
-    """min(n_S, n_{S^c}) for every leaf subset S, from CoverCounter's closed form.
+    """min(n_S, n_{S^c}) for every leaf subset S, from build_cover_table.
 
     Entry m is the cheaper exact cover of S = m or its complement, so
     the table is symmetric under m <-> full ^ m; it is 0 at the empty
-    and the full set, where one side is empty.  The tests check the min
-    sides of build_cover_table's vectorized tables against it.
+    and the full set, where one side is empty.  It shares the table's
+    leaf cap, covers.COVER_TABLE_CAP.
     """
-    count = CoverCounter(t).count
-    c = np.array([count(m) for m in range(1 << t.n)], dtype=np.uint8)
+    c = build_cover_table(t)
     # full ^ m == full - m: the reversed table holds the complements' counts
     return np.minimum(c, c[::-1])
 

@@ -72,8 +72,10 @@ preorder (at f = 1, the count and tie-break above).  In general:
 Production evaluates covers only so: CoverCounter per subset, up to
 LEAF_CAP leaves, for cover_exponent (and so bounds.poset_bound),
 min_product_cover and check_trivial_containment; build_cover_table all
-2^n counts at once, vectorized, for the search.  The tests check them
-against BFS and plain union searches, for counts and weighted products.
+2^n counts at once, vectorized, for the search and bounds.poset_table.
+The tests check them against BFS and plain union searches, for counts
+and weighted products.  The integer program's greedy solve (tnexp.ilp)
+covers by its own code, as a separate check.
 """
 
 from __future__ import annotations

@@ -26,10 +26,26 @@ over the internal nodes of T' in vertex order.  The LP text uses
 Minimize / Subject To / Binary / End sections; c stays continuous since
 it is integral at any optimum over binary x, y, z.
 
-The solver does not touch the subset tables: per node and side it runs
-a small exact branch-and-bound (greedy upper bound, counting lower
-bound) and combines sides by max-of-min, so its optimum is an
-independent cross-check of the cover-table route.
+The solver does not touch the subset tables or CoverCounter: per node
+and side it takes the greedy cover over the model's own candidate sets
+(most uncovered leaves first, larger mask on a tie) and combines sides
+by max-of-min, so its optimum is an independent cross-check of the
+cover-table route.  Greedy is exact, by the cover structure of the
+covers module docstring (every optimal cover is A or B).  Let S be the
+target, w = lca(S^c), and D(X) the number of maximal descendant sets
+inside X.
+
+* If w is the root, no anti set fits inside S.  Greedy then takes the
+  maximal descendant sets, largest first, which is cover A.
+* Otherwise a(w) is the union of the p >= 1 sibling subtrees on the path
+  from w up to the root.  Each of them is a maximal descendant set of S,
+  so a(w) is larger than each (or, for p = 1, the same set) and than
+  every a(x) with x a strict ancestor of w.  Greedy takes a(w) before
+  any of them, then the maximal descendant sets of S & d(w): cover B,
+  with 1 + D(S & d(w)) <= p + D(S & d(w)) = D(S) sets.
+* Every pick is disjoint from the earlier ones, so the cover lists its
+  sets by (size, mask) descending.  The tests keep an exhaustive branch
+  and bound as the oracle for counts and order.
 """
 
 from __future__ import annotations
@@ -138,7 +154,9 @@ def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpMo
 # ---------------------------------------------------------------------------
 # exact solver
 
-def _greedy_cover(cands: tuple, target: int) -> list:
+def _greedy_cover(cands: tuple, target: int) -> tuple:
+    """Minimum cover of `target` by the candidate sets (all subsets of it),
+    exact by the module docstring; no sets for an empty target."""
     chosen = []
     uncovered = target
     while uncovered:
@@ -147,49 +165,7 @@ def _greedy_cover(cands: tuple, target: int) -> list:
             raise RuntimeError("target side not coverable; singleton sets missing")
         chosen.append(best[1])
         uncovered &= ~best[1]
-    return chosen
-
-
-def _min_cover_bnb(cands: tuple, target: int):
-    """Exact minimum cover of `target` by the candidate sets (all subsets of it).
-
-    Branches on the lowest uncovered leaf; prunes with the counting
-    bound ceil(|uncovered| / largest candidate).  Returns (count, masks).
-    """
-    if not target:
-        return 0, ()
-    masks = sorted({m for _, m in cands})
-    best_sol = _greedy_cover(cands, target)
-    best = len(best_sol)
-    max_size = max(m.bit_count() for m in masks)
-    by_bit: dict[int, list] = {}
-    for m in masks:
-        low = 1
-        while low <= m:
-            if m & low:
-                by_bit.setdefault(low, []).append(m)
-            low <<= 1
-
-    chosen: list[int] = []
-
-    def rec(uncovered: int, depth: int):
-        nonlocal best, best_sol
-        if not uncovered:
-            if depth < best:
-                best = depth
-                best_sol = list(chosen)
-            return
-        need = -(-uncovered.bit_count() // max_size)
-        if depth + need >= best:
-            return
-        low = uncovered & -uncovered
-        for m in by_bit.get(low, ()):
-            chosen.append(m)
-            rec(uncovered & ~m, depth + 1)
-            chosen.pop()
-
-    rec(target, 0)
-    return best, tuple(best_sol)
+    return tuple(chosen)
 
 
 def solve_ip(model: IpModel) -> IpSolution:
@@ -203,19 +179,16 @@ def solve_ip(model: IpModel) -> IpSolution:
     per_node = {}
     assignment = {v: 0 for v in model.variables}
     for wl, sides in model.node_sides.items():
-        results = {}
-        for side in ("desc", "anti"):
-            target, cands = sides[side]
-            results[side] = _min_cover_bnb(cands, target)
-        side = "anti" if results["anti"][0] < results["desc"][0] else "desc"
-        count, masks = results[side]
+        covers = {side: _greedy_cover(cands, target) for side, (target, cands) in sides.items()}
+        side = "anti" if len(covers["anti"]) < len(covers["desc"]) else "desc"
+        masks = covers[side]
+        count = len(masks)
         objective = max(objective, count)
         per_node[wl] = {"side": side, "count": count, "cover": masks}
 
         assignment[f"z{_TAGS[side]}_{wl}"] = 1
-        target, cands = sides[side]
         by_mask: dict[int, str] = {}
-        for name, m in cands:
+        for name, m in sides[side][1]:
             by_mask.setdefault(m, name)    # first registered = x before y, low v first
         for m in masks:
             assignment[by_mask[m]] = 1

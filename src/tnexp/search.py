@@ -386,7 +386,10 @@ def verify_against_reference(ours_path, reference_path, adapter=None) -> DiffRep
     {"cover_bound": "exponent"}; its keys must be our columns, a renamed column
     is read only under its new name, and no two entries name one reference column.
     """
-    adapter = adapter or {}
+    adapter = {} if adapter is None else adapter
+    if not (isinstance(adapter, dict)
+            and all(isinstance(x, str) for item in adapter.items() for x in item)):
+        raise ValueError("adapter must map our column names to the reference's (str -> str)")
     for c in adapter:
         if c not in COLUMNS:
             raise ValueError(f"adapter key {c!r} is not a column of ours ({', '.join(COLUMNS)})")

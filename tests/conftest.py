@@ -1,12 +1,14 @@
 """Shared fixtures: figure trees used across the suite, plus independent
 oracles (breadth-first union searches over the doad family, a weighted
-union relaxation and a greedy witness search) that the production code
-is checked against."""
+union relaxation, a greedy witness search and a branch and bound over
+the integer program's candidate sets) that the production code is
+checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from tnexp.ilp import _greedy_cover
 from tnexp.trees import Tree, doad_family
 
 # six-leaf tree whose leaf heights are (0, 1, 0, 1, 2, 0)
@@ -117,6 +119,51 @@ def greedy_witness(t: Tree, count, mask: int) -> tuple:
         out.append((vid, kind, d))
         remaining ^= d
     return tuple(out)
+
+
+def min_cover_bnb(cands: tuple, target: int):
+    """Exact minimum cover of `target` by the candidate sets (all subsets of it).
+
+    Branches on the lowest uncovered leaf; prunes with the counting
+    bound ceil(|uncovered| / largest candidate).  Returns (count, masks).
+    The oracle for ilp's greedy cover, which is also its starting bound:
+    a strictly shorter cover replaces it, so the masks are greedy's
+    whenever greedy is optimal.
+    """
+    if not target:
+        return 0, ()
+    masks = sorted({m for _, m in cands})
+    best_sol = _greedy_cover(cands, target)
+    best = len(best_sol)
+    max_size = max(m.bit_count() for m in masks)
+    by_bit: dict[int, list] = {}
+    for m in masks:
+        low = 1
+        while low <= m:
+            if m & low:
+                by_bit.setdefault(low, []).append(m)
+            low <<= 1
+
+    chosen: list[int] = []
+
+    def rec(uncovered: int, depth: int):
+        nonlocal best, best_sol
+        if not uncovered:
+            if depth < best:
+                best = depth
+                best_sol = list(chosen)
+            return
+        need = -(-uncovered.bit_count() // max_size)
+        if depth + need >= best:
+            return
+        low = uncovered & -uncovered
+        for m in by_bit.get(low, ()):
+            chosen.append(m)
+            rec(uncovered & ~m, depth + 1)
+            chosen.pop()
+
+    rec(target, 0)
+    return best, tuple(best_sol)
 
 
 def random_tree(rng, n: int) -> Tree:

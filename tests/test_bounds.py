@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import EIGHT_LEAVES, NOT_SHARP_A, brute_cover_table, random_tree
+from conftest import EIGHT_LEAVES, NOT_SHARP_A, bfs_cover_table, brute_cover_table, random_tree
 from tnexp.bounds import (
     compose_exponents,
     height_bound_tt,
@@ -13,7 +13,7 @@ from tnexp.bounds import (
     poset_table,
     trivial_bound,
 )
-from tnexp.covers import CoverCounter, build_cover_table, cover_exponent
+from tnexp.covers import CoverCounter, cover_exponent
 from tnexp.trees import (
     Permutation,
     all_permutations,
@@ -158,10 +158,11 @@ def test_poset_table_matches_label_formula():
 
 
 def test_poset_table_is_min_of_exact_covers():
-    # the poset minimum is exact: min(n_S, n_{S^c}) on every proper subset
+    # the poset minimum is exact: min(n_S, n_{S^c}) on every proper subset,
+    # against the disjoint-union BFS rather than the closed form it reads
     for n in range(2, 10):
         for t in enumerate_shapes(n):
-            counts = build_cover_table(t)
+            counts = bfs_cover_table(t)
             full = t.full_mask
             want = np.minimum(counts, counts[::-1])  # counts[::-1][m] == counts[full ^ m]
             want[0] = want[full] = 0

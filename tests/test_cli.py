@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import resource
 import shlex
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from tnexp import bounds, covers
+from conftest import random_tree
+from tnexp import bounds, covers, search
 from tnexp.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -389,6 +391,132 @@ def test_oversized_input_exits_2_in_bounded_memory(argv):
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert len(proc.stderr.encode()) < 200, proc.stderr[:300]
+
+
+# Reads a JSON list of argv lists on stdin, caps its own address space,
+# runs each through cli.main in process and prints [code, stdout length,
+# stderr] per input; an exception main lets through is reported as its name.
+FUZZ_CHILD = r"""
+import contextlib, io, json, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from tnexp.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except BaseException as exc:
+            code = f"{type(exc).__name__}: {str(exc)[:100]}"
+    results.append([code, len(out.getvalue()), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _fuzz_inputs(rng, tmp, count):
+    """`count` seeded argv lists mixing valid, malformed and oversized values."""
+    ours = tmp / "ours.csv"
+    search.write_results(search.run_search(4, kinds=("cover", "naive")), "csv", ours)
+    rows = ours.read_text().splitlines()
+    refs = {"same": rows, "swapped": rows[:3] + [rows[4], rows[3]] + rows[5:],
+            "repeated": rows[:4] + rows[3:], "short": rows[:3] + [rows[3][:-2]] + rows[4:],
+            "non-integer": rows[:3] + [rows[3][:-1] + "x"] + rows[4:],
+            "changed": rows[:3] + [rows[3][:-1] + "9"] + rows[4:],
+            "header-only": rows[:1], "empty": [], "no-key": ["cover_bound"] + rows[1:]}
+    for name, lines in refs.items():
+        (tmp / f"{name}.csv").write_text("".join(line + "\n" for line in lines))
+    (tmp / "binary.csv").write_bytes(bytes(range(256)) * 4)
+    adapters = {"good": '{"cover_bound": "cover_bound"}', "list": '["cover_bound"]',
+                "int-value": '{"cover_bound": 5}', "broken": '{"cover_bound"',
+                "null": "null", "typo": '{"cover_boundd": "x"}'}
+    for name, text in adapters.items():
+        (tmp / f"{name}.json").write_text(text)
+    (tmp / "binary.json").write_bytes(b"\xff\xfe{")
+    paths = [str(tmp / "out.file"), str(tmp / "missing" / "out.file"), str(tmp)]
+    huge = [0, -1, 10 ** 12, 10 ** 30]
+
+    def pick(valid, bad):
+        return rng.choice(valid if rng.random() < 0.75 else bad)
+
+    def tree(n):
+        if rng.random() < 0.7:
+            return random_tree(rng, n).text
+        return rng.choice([
+            f"ht:{rng.choice([-1, 0, 1, 5, 6, 10 ** 12, 'x', ''])}",
+            f"tt:{rng.choice([0, 1, 2, 33, 10 ** 12, -4, '1e3'])}",
+            "".join(rng.choice("(.)x ") for _ in range(rng.randrange(40))),
+            "(" * rng.randrange(1000, 200000) + ".",
+            "(" * 1999 + "." + ".)" * 1999,
+            random_tree(rng, n).text[:-1],
+            random_tree(rng, n).text + "x" * 100000])
+
+    def perm(n):
+        p = rng.sample(range(1, n + 1), n)
+        return pick(["id", "-".join(map(str, p))],
+                    ["-".join(map(str, p[:-1])), "0", str(n + 1), "1-1", "x"])
+
+    def small_tree():
+        return pick([f"tt:{rng.randint(2, 6)}", "ht:2"], ["ht:9", "tt:40", "tt:x", "(."])
+
+    commands = []
+    for _ in range(count):
+        n = rng.randint(2, 32)
+        cmd = rng.choice(["exponent", "ip", "bounds", "verify-ranks", "search",
+                          "check-reference", "enumerate"])
+        if cmd in ("exponent", "ip"):
+            argv = [cmd, tree(n), tree(n if rng.random() < 0.8 else n - 1), "--perm", perm(n)]
+            argv += rng.choice([[], ["--table"]])
+            argv += (rng.choice([[], ["--witnesses"], ["--ilp"]]) if cmd == "exponent" else
+                     rng.choice([[], ["--solve"], ["--export", rng.choice(paths)]]))
+        elif cmd == "bounds":
+            argv = [cmd, tree(n)] + rng.choice([[], ["--probe", tree(n), "--perm", perm(n)]])
+        elif cmd == "verify-ranks":
+            k = small_tree()
+            argv = [cmd, "--tree", k, "--probe", pick([k], [small_tree()])]
+            for flag, valid in (("--dims", [1, 2, 3]), ("--f", [1, 2]), ("--f-prime", [1, 2]),
+                                ("--r", [1, 2, 3]), ("--trials", [1, 2]), ("--seed", [0, 7]),
+                                ("--exponent", [0, 1, 2])):
+                if rng.random() < 0.5:
+                    argv += [flag, str(pick(valid, huge + [5000]))]
+        elif cmd == "search":
+            size, sample = rng.choice([(4, None), (5, None), (6, 3), (4, 2)] * 3 +
+                                      [(3, None), (9, 0), (12, 10 ** 9), (13, 5),
+                                       (10 ** 30, None), (10, 3_000_000), (-1, 1)])
+            argv = [cmd, "--n", str(size), "--kinds",
+                    pick(["cover", "cover,poset", "naive,cover,poset"],
+                         ["", "cover,cover", "bogus", ",", "COVER"])]
+            argv += [] if sample is None else ["--sample-perms", str(sample)]
+            argv += rng.choice([[], ["--csv", rng.choice(paths)], ["--json", rng.choice(paths)]])
+        elif cmd == "check-reference":
+            ref = rng.choice([*refs, "binary", "missing"])
+            argv = [cmd, str(ours), str(tmp / f"{ref}.csv")]
+            if rng.random() < 0.4:
+                argv += ["--adapter", str(tmp / f"{rng.choice([*adapters, 'binary'])}.json")]
+        else:
+            argv = [cmd, "--n", str(pick([2, 5, 7], [-1, 0, 1, 40, 10 ** 9]))]
+            argv += rng.choice([[], ["--plane"], ["--count-only"], ["--plane", "--count-only"]])
+        commands.append(argv)
+    return commands
+
+
+def test_fuzzed_inputs_exit_0_1_or_2_with_one_error_line(tmp_path):
+    argvs = _fuzz_inputs(random.Random(2026), tmp_path, 400)
+    proc = subprocess.run([sys.executable, "-c", FUZZ_CHILD, str(CHILD_AS_LIMIT)],
+                          input=json.dumps(argvs), capture_output=True, text=True,
+                          env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs)
+    for argv, (code, out_len, err) in zip(argvs, results):
+        shown = [a if len(a) < 80 else a[:40] + f"...({len(a)} chars)" for a in argv]
+        assert code in (0, 1, 2), (shown, code, err)
+        if code == 2:
+            assert out_len == 0, (shown, err)
+            assert err.startswith("error:") and err.count("\n") == 1, (shown, err)
+            assert len(err.encode()) < 300, (shown, err)
+    codes = [code for code, _, _ in results]
+    assert {0, 1, 2} <= set(codes), codes
 
 
 def test_check_reference_n7_in_bounded_memory(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_tree
+from conftest import min_cover_bnb, random_tree
 from tnexp.covers import cover_exponent
 from tnexp.ilp import build_ip, export_lp, solve_ip
 from tnexp.trees import (
@@ -108,8 +109,67 @@ def test_solution_covers_are_valid():
         assert len(detail["cover"]) == detail["count"] <= sol.objective
 
 
+def _side_covers(t, masks):
+    """solve_ip's (count, cover) for each mask, over the candidate sets
+    build_ip registers for it: one model node per mask, whose two sides
+    are both that mask, so the tie keeps the desc side."""
+    model = build_ip(t, t)
+    _, every = model.node_sides["r"]["desc"]   # the root's desc side holds every doad set
+    sides = {}
+    for m in masks:
+        side = (m, tuple(c for c in every if not c[1] & ~m))
+        sides[str(m)] = {"desc": side, "anti": side}
+    sol = solve_ip(dataclasses.replace(model, node_sides=sides))
+    assert {d["side"] for d in sol.per_node.values()} <= {"desc"}
+    return {int(w): (d["count"], d["cover"]) for w, d in sol.per_node.items()}, sides
+
+
+def _check_against_bnb(t, masks):
+    # the oracle's count is exact from any start; its masks are its greedy
+    # start's unless that is beaten, so the order is also checked directly
+    got, sides = _side_covers(t, masks)
+    for m in masks:
+        target, cands = sides[str(m)]["desc"]
+        assert got[m] == min_cover_bnb(cands, target), (t.text, m)
+        cover = got[m][1]
+        assert cover == tuple(sorted(cover, key=lambda c: (c.bit_count(), c), reverse=True))
+
+
+def test_side_covers_match_branch_and_bound_every_mask_n7():
+    # greedy's count and mask order equal the exhaustive branch and bound's
+    # on every leaf subset, empty and full included
+    for n in range(2, 8):
+        for t in enumerate_shapes(n):
+            _check_against_bnb(t, range(t.full_mask + 1))
+
+
+def test_side_covers_match_branch_and_bound_random_masks():
+    rng = random.Random(7)
+    for n in range(8, 33):
+        for _ in range(4):
+            t = random_tree(rng, n)
+            _check_against_bnb(t, [rng.getrandbits(n) for _ in range(25)])
+
+
+def test_solution_sides_match_branch_and_bound():
+    # on real models: per node, the cheaper side by the oracle (desc on a
+    # tie) and its oracle cover
+    rng = random.Random(3)
+    for n in range(4, 33, 2):
+        t, t2 = random_tree(rng, n), random_tree(rng, n)
+        model = build_ip(t, t2, Permutation(rng.sample(range(1, n + 1), n)))
+        sol = solve_ip(model)
+        for wl, sides in model.node_sides.items():
+            (nd, cd), (na, ca) = (min_cover_bnb(cands, target)
+                                  for target, cands in (sides["desc"], sides["anti"]))
+            want = ("anti", na, ca) if na < nd else ("desc", nd, cd)
+            d = sol.per_node[wl]
+            assert (d["side"], d["count"], d["cover"]) == want, (t.text, t2.text, wl)
+
+
 def test_matches_cover_engine_small_sweep():
-    # independent branch-and-bound vs the closed-form cover numbers
+    # the greedy IP solve over the model's own candidate sets vs the
+    # closed-form cover numbers
     for n in (4, 5):
         shapes = enumerate_shapes(n)
         perms = list(all_permutations(n))[::11]

@@ -385,6 +385,17 @@ def test_reference_adapter_renames_columns(tmp_path):
     assert diff.ok
 
 
+@pytest.mark.parametrize("adapter", [{"cover_bound": 5}, ["cover_bound"],
+                                     {"cover_bound": None}, "cover_bound"])
+def test_reference_adapter_must_map_str_to_str(tmp_path, adapter):
+    # a non-string target must not drop the renamed column and pass on the
+    # others alone: both kinds here would compare 1,080 naive values
+    path = tmp_path / "n5.csv"
+    write_results(run_search(5, kinds=("cover", "naive")), "csv", path)
+    with pytest.raises(ValueError, match="str -> str"):
+        verify_against_reference(path, path, adapter=adapter)
+
+
 def test_reference_unparseable(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("")
