@@ -17,7 +17,6 @@ from tnexp import (
     cover_exponent,
     leaves_of_mask,
     mask_from_leaves,
-    min_product_cover,
 )
 
 ht2 = build_ht(2)
@@ -54,7 +53,7 @@ print(f"  cover_bound {rep.cover_bound}  (identity gave 1)")
 assert rep.cover_bound == 2
 
 print("\nweighted covers and trivial containment (holds for every scale r):")
-product, wit = min_product_cover(ht2, 2, mask_from_leaves([2, 3]))
+product, wit = CoverCounter(ht2, 2).cover(mask_from_leaves([2, 3]))
 print(f"  min f-product covering {{2,3}} with f = 2 everywhere: {product}")
 triv = check_trivial_containment(ht2, 2, tt4, 2)
 print(f"  (ht:2, f=2) trivially contained in (tt:4, f'=2): {triv.ok}, "

@@ -15,11 +15,8 @@ from .trees import (
     build_tt,
     enumerate_shapes,
     enumerate_plane_trees,
-    DoadFamily,
-    doad_family,
     heights,
     Permutation,
-    all_permutations,
     mask_from_leaves,
     leaves_of_mask,
 )
@@ -28,7 +25,6 @@ from .covers import (
     build_cover_table,
     cover_exponent,
     ExponentReport,
-    min_product_cover,
     check_trivial_containment,
 )
 from .bounds import (
@@ -57,11 +53,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tree", "parse_tree", "build_ht", "build_tt",
-    "enumerate_shapes", "enumerate_plane_trees", "DoadFamily", "doad_family",
-    "heights", "Permutation", "all_permutations",
+    "enumerate_shapes", "enumerate_plane_trees", "heights", "Permutation",
     "mask_from_leaves", "leaves_of_mask",
     "CoverCounter", "build_cover_table", "cover_exponent",
-    "ExponentReport", "min_product_cover", "check_trivial_containment",
+    "ExponentReport", "check_trivial_containment",
     "BoundValue", "trivial_bound", "poset_bound", "poset_table",
     "height_bound_tt", "plane_general_bound", "compose_exponents",
     "IpModel", "build_ip", "solve_ip", "export_lp",

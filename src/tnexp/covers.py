@@ -70,9 +70,9 @@ preorder (at f = 1, the count and tie-break above).  In general:
   when the root's split is one set of weight 1, which nothing beats.
 
 Production evaluates covers only so: CoverCounter per subset, up to
-LEAF_CAP leaves, for cover_exponent (and so bounds.poset_bound),
-min_product_cover and check_trivial_containment; build_cover_table all
-2^n counts at once, vectorized, for the search and bounds.poset_table.
+LEAF_CAP leaves, for cover_exponent (and so bounds.poset_bound) and,
+weighted, check_trivial_containment; build_cover_table all 2^n counts
+at once, vectorized, for the search and bounds.poset_table.
 The tests check them against BFS and plain union searches, for counts
 and weighted products.  The integer program's greedy solve (tnexp.ilp)
 covers by its own code, as a separate check.
@@ -104,7 +104,6 @@ __all__ = [
     "cover_exponent",
     "ExponentReport",
     "NodeCover",
-    "min_product_cover",
     "check_trivial_containment",
     "TrivialContainment",
 ]
@@ -146,7 +145,8 @@ class CoverCounter:
         return self.cover(mask)[1]
 
     def cover(self, mask: int) -> tuple:
-        """(f-product, witness) of the least exact cover of `mask`."""
+        """(f-product, witness) of the least exact cover of `mask`: least
+        f-product, then fewest sets, witness as in `witness`."""
         t = self.tree
         full, dm, split, anti = t.full_mask, t.desc_masks, self._split, self._anti
         if not 0 <= mask <= full:
@@ -311,14 +311,6 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
 
 # ---------------------------------------------------------------------------
 # f-weighted covers and trivial containment
-
-def min_product_cover(t: Tree, f, mask: int):
-    """CoverCounter(t, f).cover: (product, witness) of the exact doad cover
-    of `mask` of least f-product, and of fewest sets among those.  The
-    witness is (vertex, kind, set) triples in preorder.
-    """
-    return CoverCounter(t, f).cover(mask)
-
 
 @dataclass(frozen=True)
 class TrivialContainment:

@@ -273,7 +273,7 @@ def flattening_rank(tensor: SampledTensor, mask: int) -> int:
     A sub-block whose rank reaches the cut bound certifies the answer.
     """
     spec, full = tensor.spec, tensor.spec.tree.full_mask
-    if mask == 0 or mask == full:
+    if not 0 < mask < full:
         raise ValueError("flattening needs a nonempty proper leaf subset")
     u = _cut_bound(tensor, mask)
     strides = np.array([math.prod(spec.leaf_dims[i + 1:]) for i in range(spec.tree.n)])

@@ -1,5 +1,5 @@
 """Full binary plane trees: parsing, the two canonical families, shape
-enumeration, doad families, leaf heights, and leaf-mask queries.
+enumeration, leaf heights, and leaf-mask queries.
 
 A tree is its balanced-parenthesis string, where "." is a leaf and
 "(LR)" is an internal node with plane-ordered children L and R, so
@@ -15,15 +15,16 @@ left(0)/right(1) steps reaching it from the root (root label: "").  Leaf
 numbering agrees with lexicographic order of the path labels.
 
 Leaf subsets are plain int bitmasks with leaf k on bit k-1.  The doad
-family of a tree collects, for every vertex v, its descendant leaf set
-and the complement (the anti-descendant set); these sets are the only
-building blocks of all cover computations downstream.
+sets of a tree are, for every vertex v, its descendant leaf set
+desc_masks[v] and the nonempty complement anti_mask(v) (the
+anti-descendant set); these sets are the only building blocks of all
+cover computations downstream.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import numbers
 from functools import lru_cache
 
 __all__ = [
@@ -33,13 +34,8 @@ __all__ = [
     "build_tt",
     "enumerate_shapes",
     "enumerate_plane_trees",
-    "DoadFamily",
-    "doad_family",
     "heights",
-    "label_height",
-    "label_dual_height",
     "Permutation",
-    "all_permutations",
     "instance_perm",
     "mask_lca",
     "maximal_desc_vertices",
@@ -305,62 +301,17 @@ def enumerate_plane_trees(n: int) -> list[Tree]:
 
 
 # ---------------------------------------------------------------------------
-# doad families
-
-@dataclass(frozen=True)
-class DoadFamily:
-    """All nonempty descendant / anti-descendant leaf sets of one tree.
-
-    masks      -- deduplicated set masks, ascending
-    witnesses  -- mask -> tuple of (vertex, kind) with kind "desc"/"anti",
-                  sorted by vertex id with "desc" first on ties
-    """
-
-    n: int
-    masks: tuple[int, ...]
-    witnesses: dict
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.witnesses
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-
-def doad_family(t: Tree) -> DoadFamily:
-    """Collect d(v) for every vertex and a(v) for every v with a(v) != {}."""
-    wit: dict[int, list] = {}
-    for v in range(t.size):
-        wit.setdefault(t.desc_masks[v], []).append((v, "desc"))
-        am = t.anti_mask(v)
-        if am:
-            wit.setdefault(am, []).append((v, "anti"))
-    witnesses = {
-        m: tuple(sorted(ws, key=lambda w: (w[0], w[1] != "desc")))
-        for m, ws in wit.items()
-    }
-    return DoadFamily(n=t.n, masks=tuple(sorted(witnesses)), witnesses=witnesses)
-
-
-# ---------------------------------------------------------------------------
 # heights
 
-def label_height(label: str) -> int:
-    """Number of 1s before the final 0 of a path label (0 if no 0)."""
-    i = label.rfind("0")
-    return label.count("1", 0, i) if i >= 0 else 0
-
-
-def label_dual_height(label: str) -> int:
-    """Number of 0s before the final 1 of a path label (0 if no 1)."""
-    i = label.rfind("1")
-    return label.count("0", 0, i) if i >= 0 else 0
-
-
 def heights(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-leaf heights (h, h*) in left-to-right leaf order."""
-    h = tuple(label_height(t.labels[v]) for v in t.leaves)
-    hs = tuple(label_dual_height(t.labels[v]) for v in t.leaves)
+    """Per-leaf heights (h, h*) in left-to-right leaf order.
+
+    h counts the 1s before the final 0 of the leaf's path label, h* the
+    0s before the final 1 (0 when the label has no such final digit).
+    """
+    labels = [t.labels[v] for v in t.leaves]
+    h = tuple(lab.count("1", 0, max(lab.rfind("0"), 0)) for lab in labels)
+    hs = tuple(lab.count("0", 0, max(lab.rfind("1"), 0)) for lab in labels)
     return h, hs
 
 
@@ -400,9 +351,11 @@ def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:
     f is a scalar for every vertex, a sequence by vertex id, or a
     mapping by label (the root also as "r") where unlisted vertices
     weigh 1; a key that names no vertex, or the root under both names,
-    is an error.  `what` names the vector in the error message.
+    is an error.  Entries are real numbers of integral value (2, 2.0
+    and numpy integers alike); any other entry is an error.  `what`
+    names the vector in the error message.
     """
-    if isinstance(f, int):
+    if isinstance(f, numbers.Real):
         vec = (f,) * t.size
     elif isinstance(f, dict):
         vertex = {t.node_label(v): v for v in range(t.size)} | {"": t.root}
@@ -413,12 +366,13 @@ def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:
             raise ValueError(f"{what} gives the root twice, as '' and 'r'")
         vec = [1] * t.size
         for key, x in f.items():
-            vec[vertex[key]] = int(x)
+            vec[vertex[key]] = x
     else:
-        vec = tuple(int(x) for x in f)
-    if len(vec) != t.size or any(x < 1 for x in vec):
+        vec = tuple(f)
+    if len(vec) != t.size or not all(isinstance(x, numbers.Real) and x >= 1 and x % 1 == 0
+                                     for x in vec):
         raise ValueError(f"need {t.size} positive {what} entries")
-    return tuple(vec)
+    return tuple(int(x) for x in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +465,6 @@ def instance_perm(t: Tree, t_prime: Tree, perm=None) -> Permutation:
     return perm
 
 
-def all_permutations(n: int):
-    """All permutations of {1..n} in lexicographic one-line order."""
-    for p in itertools.permutations(range(1, n + 1)):
-        yield Permutation(p)
-
-
 # ---------------------------------------------------------------------------
 # bitmask helpers
 
@@ -528,6 +476,8 @@ def mask_from_leaves(leaves) -> int:
 
 
 def leaves_of_mask(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"leaf mask must be nonnegative, got {mask}")
     out = []
     leaf = 1
     while mask:

@@ -1,15 +1,17 @@
 """Shared fixtures: figure trees used across the suite, plus independent
-oracles (breadth-first union searches over the doad family, a weighted
-union relaxation, a greedy witness search and a branch and bound over
-the integer program's candidate sets) that the production code is
-checked against."""
+oracles (the doad sets listed vertex by vertex, breadth-first union
+searches over them, a weighted union relaxation, a greedy witness search
+and a branch and bound over the integer program's candidate sets) that
+the production code is checked against."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from tnexp.ilp import _greedy_cover
-from tnexp.trees import Tree, doad_family
+from tnexp.trees import Permutation, Tree
 
 # six-leaf tree whose leaf heights are (0, 1, 0, 1, 2, 0)
 EX_LABEL = "((.(..))(.(..)))"
@@ -22,10 +24,27 @@ NOT_SHARP_B = "(((.((..).)).).)"
 EIGHT_LEAVES = "((.(.((..).)))((..).))"
 
 
+def doad_sets(t: Tree) -> dict:
+    """Every doad set of t, ascending, mapped to the (vertex, kind) pairs
+    that name it in preorder, "desc" first: d(v) for every vertex v and
+    a(v) for every v with a(v) nonempty."""
+    names: dict[int, list] = {}
+    for v in range(t.size):
+        names.setdefault(t.desc_masks[v], []).append((v, "desc"))
+        if t.anti_mask(v):
+            names.setdefault(t.anti_mask(v), []).append((v, "anti"))
+    return {m: tuple(names[m]) for m in sorted(names)}
+
+
+def all_perms(n: int) -> list[Permutation]:
+    """Every permutation of 1..n in lexicographic one-line order."""
+    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+
 def brute_cover_table(t: Tree) -> list[int]:
     """Minimum number of doad sets whose union is each subset, by plain
     breadth-first search over unions (overlaps allowed)."""
-    fam = doad_family(t).masks
+    fam = doad_sets(t)
     full = t.full_mask
     inf = 10 ** 6
     dist = [inf] * (full + 1)
@@ -51,7 +70,7 @@ def brute_product_table(t: Tree, f) -> list[tuple[int, int]]:
     A doad set weighs the least f over the vertices that name it, and
     covers compare by product, then by number of sets.
     """
-    weight = {m: min(f[v] for v, _ in ws) for m, ws in doad_family(t).witnesses.items()}
+    weight = {m: min(f[v] for v, _ in ws) for m, ws in doad_sets(t).items()}
     best = [None] * (1 << t.n)
     best[0] = (1, 0)
     changed = True
@@ -77,7 +96,7 @@ def bfs_cover_table(t: Tree) -> np.ndarray:
     before; minimal covers of proper subsets are disjoint, and the full set
     is a doad set.  Returns uint8 counts with counts[0] == 0.
     """
-    doads = np.array(doad_family(t).masks, dtype=np.int64)
+    doads = np.array(list(doad_sets(t)), dtype=np.int64)
     counts = np.full(1 << t.n, 255, dtype=np.uint8)
     counts[0] = 0
     frontier = np.zeros(1, dtype=np.int64)

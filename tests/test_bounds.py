@@ -4,7 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import EIGHT_LEAVES, NOT_SHARP_A, bfs_cover_table, brute_cover_table, random_tree
+from conftest import (
+    EIGHT_LEAVES,
+    NOT_SHARP_A,
+    all_perms,
+    bfs_cover_table,
+    brute_cover_table,
+    doad_sets,
+    random_tree,
+)
 from tnexp.bounds import (
     compose_exponents,
     height_bound_tt,
@@ -16,10 +24,8 @@ from tnexp.bounds import (
 from tnexp.covers import CoverCounter, cover_exponent
 from tnexp.trees import (
     Permutation,
-    all_permutations,
     build_ht,
     build_tt,
-    doad_family,
     enumerate_plane_trees,
     enumerate_shapes,
     heights,
@@ -68,7 +74,7 @@ def _poset_bound_by_doad_scan(t, t_prime, perm=None):
     count = CoverCounter(t).count
     full = t.full_mask
     best, best_mask = 1, None
-    for m in doad_family(t_prime).masks:
+    for m in doad_sets(t_prime):
         if m == full:
             continue
         pm = perm.pullback(m)
@@ -90,7 +96,7 @@ def _check_against_doad_scan(t, t_prime, perm):
 def test_poset_bound_matches_doad_scan_on_every_small_instance():
     for n in range(2, 6):
         shapes = enumerate_shapes(n)
-        perms = list(all_permutations(n))
+        perms = all_perms(n)
         for t, t2 in itertools.product(shapes, repeat=2):
             for perm in perms:
                 _check_against_doad_scan(t, t2, perm)
@@ -172,7 +178,7 @@ def test_poset_table_is_min_of_exact_covers():
 def test_poset_dominates_cover_on_permuted_instances():
     for n in (4, 5):
         shapes = enumerate_shapes(n)
-        perms = list(all_permutations(n))
+        perms = all_perms(n)
         for t, t2 in itertools.product(shapes, repeat=2):
             for perm in perms[::5]:
                 cov = cover_exponent(t, t2, perm).cover_bound

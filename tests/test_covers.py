@@ -10,9 +10,11 @@ import pytest
 from conftest import (
     NOT_SHARP_A,
     NOT_SHARP_B,
+    all_perms,
     bfs_cover_table,
     brute_cover_table,
     brute_product_table,
+    doad_sets,
     greedy_witness,
     random_tree,
 )
@@ -22,16 +24,14 @@ from tnexp.covers import (
     build_cover_table,
     check_trivial_containment,
     cover_exponent,
-    min_product_cover,
 )
 from tnexp.ilp import build_ip, solve_ip
+from tnexp.ranks import NetworkSpec
 from tnexp.trees import (
     Permutation,
     Tree,
-    all_permutations,
     build_ht,
     build_tt,
-    doad_family,
     enumerate_shapes,
     mask_from_leaves,
     parse_tree,
@@ -65,13 +65,13 @@ def test_table_spot_values():
 def test_table_invariants():
     for t in enumerate_shapes(6):
         table = build_cover_table(t)
-        fam = doad_family(t)
+        doads = doad_sets(t)
         full = t.full_mask
         half = t.n // 2
         for mask in range(1, full + 1):
             n_s = table[mask]
             assert n_s >= 1
-            assert (n_s == 1) == (mask in fam)
+            assert (n_s == 1) == (mask in doads)
             assert n_s <= bin(mask).count("1")
             if mask != full:
                 assert min(n_s, table[full ^ mask]) <= half
@@ -129,7 +129,7 @@ def test_witness_decompositions():
     trees = [t for n in range(2, 8) for t in enumerate_shapes(n)]
     for t in trees + [build_tt(12), build_ht(4)]:
         table, counter = build_cover_table(t), CoverCounter(t)
-        fam = doad_family(t)
+        doads = doad_sets(t)
         # ht:4 has 65536 subsets; a stride keeps the test short
         step = 7 if t.n > 12 else 1
         for mask in range(1, t.full_mask + 1, step):
@@ -137,8 +137,7 @@ def test_witness_decompositions():
             assert len(wit) == table[mask]
             union = 0
             for vid, kind, m in wit:
-                assert m in fam
-                assert (vid, kind) in fam.witnesses[m]
+                assert (vid, kind) in doads[m]
                 assert union & m == 0  # pairwise disjoint
                 union |= m
             assert union == mask
@@ -162,7 +161,7 @@ def test_counter_rejects_masks_outside_the_leaf_set():
         with pytest.raises(ValueError, match="out of range"):
             counter.witness(mask)
         with pytest.raises(ValueError, match="out of range"):
-            min_product_cover(build_tt(4), 2, mask)
+            CoverCounter(build_tt(4), 2).cover(mask)
 
 
 def test_exponent_past_table_cap_matches_ip():
@@ -228,7 +227,7 @@ def test_permuted_instances_match_per_node_minimum():
     t, t2 = build_ht(2), build_tt(4)
     table = build_cover_table(t)
     full = t.full_mask
-    for perm in all_permutations(4):
+    for perm in all_perms(4):
         rep = cover_exponent(t, t2, perm)
         want = 1
         for w in t2.internal:
@@ -245,7 +244,7 @@ def test_mirror_probe_symmetry():
     for n in (4, 5):
         rev = Permutation(range(n, 0, -1))
         shapes = enumerate_shapes(n)
-        perms = list(itertools.islice(all_permutations(n), 0, None, 5))
+        perms = list(itertools.islice(all_perms(n), 0, None, 5))
         for t, t2 in itertools.product(shapes, repeat=2):
             for perm in perms:
                 a = cover_exponent(t, t2, perm).cover_bound
@@ -257,7 +256,7 @@ def test_mirror_conjugation_invariance():
     for n in (4, 5):
         shapes = enumerate_shapes(n)
         rev = Permutation(range(n, 0, -1))
-        perms = list(itertools.islice(all_permutations(n), 0, None, 7))
+        perms = list(itertools.islice(all_perms(n), 0, None, 7))
         for t, t2 in itertools.product(shapes, repeat=2):
             for perm in perms:
                 conj = rev.compose(perm).compose(rev)
@@ -279,7 +278,7 @@ def test_leaf_mismatch_rejected():
 def test_product_all_ones_weight():
     for t in enumerate_shapes(4):
         for mask in range(1, t.full_mask + 1):
-            product, wit = min_product_cover(t, 1, mask)
+            product, wit = CoverCounter(t, 1).cover(mask)
             assert product == 1
             assert sum(m for *_, m in wit) == mask  # disjoint exact cover
 
@@ -288,7 +287,7 @@ def test_product_uniform_weight_matches_counts():
     for t in enumerate_shapes(5):
         table = build_cover_table(t)
         for mask in range(1, t.full_mask + 1):
-            product, wit = min_product_cover(t, 2, mask)
+            product, wit = CoverCounter(t, 2).cover(mask)
             want = int(table[mask])
             if mask == t.full_mask:
                 # two overlapping anti sets may beat a longer partition
@@ -298,7 +297,7 @@ def test_product_uniform_weight_matches_counts():
 
 
 def test_product_ht2_example():
-    product, wit = min_product_cover(build_ht(2), 2, mask_from_leaves([2, 3]))
+    product, wit = CoverCounter(build_ht(2), 2).cover(mask_from_leaves([2, 3]))
     assert product == 4
     assert len(wit) == 2
 
@@ -310,7 +309,7 @@ def test_product_single_doad_uses_cheapest_witness():
     f = [2] * t.size
     f[t.labels.index("1")] = 5
     f[t.labels.index("0")] = 3
-    product, wit = min_product_cover(t, f, mask_from_leaves([3, 4]))
+    product, wit = CoverCounter(t, f).cover(mask_from_leaves([3, 4]))
     assert product == 3
     assert len(wit) == 1
     assert wit[0][1] == "anti"
@@ -324,16 +323,16 @@ def test_product_full_set_overlapping_pair():
     f[t.root] = 5
     f[t.leaf_vertex(1)] = 1
     f[t.leaf_vertex(3)] = 1
-    product, wit = min_product_cover(t, f, t.full_mask)
+    product, wit = CoverCounter(t, f).cover(t.full_mask)
     assert product == 1
     assert len(wit) == 2
 
     # brute force over all covers of up to three doad sets
-    fam = doad_family(t)
-    weight = {m: min(f[v] for v, _ in fam.witnesses[m]) for m in fam.masks}
+    doads = doad_sets(t)
+    weight = {m: min(f[v] for v, _ in names) for m, names in doads.items()}
     best = min(
         (weight[a] * weight[b] * weight[c]
-         for a, b, c in itertools.combinations_with_replacement(fam.masks, 3)
+         for a, b, c in itertools.combinations_with_replacement(doads, 3)
          if a | b | c == t.full_mask),
         default=None)
     assert product <= best
@@ -344,16 +343,16 @@ def test_product_matches_brute_force_random_weights():
     rng = np.random.default_rng(0)
     for n in (3, 4):
         for t in enumerate_shapes(n):
-            fam = doad_family(t)
+            doads = doad_sets(t)
             full = t.full_mask
             for _ in range(10):
                 f = [int(x) for x in rng.integers(1, 9, size=t.size)]
-                weight = {m: min(f[v] for v, _ in fam.witnesses[m])
-                          for m in fam.masks}
+                weight = {m: min(f[v] for v, _ in names) for m, names in doads.items()}
+                cover = CoverCounter(t, f).cover
                 for mask in range(1, full + 1):
                     best = None
                     for k in range(1, 5):
-                        for combo in itertools.combinations_with_replacement(fam.masks, k):
+                        for combo in itertools.combinations_with_replacement(doads, k):
                             u = 0
                             for m in combo:
                                 u |= m
@@ -362,16 +361,16 @@ def test_product_matches_brute_force_random_weights():
                                 for m in combo:
                                     p *= weight[m]
                                 best = p if best is None else min(best, p)
-                    got, _ = min_product_cover(t, f, mask)
+                    got, _ = cover(mask)
                     assert got == best
 
 
 def test_product_rejects_bad_weights():
     t = build_ht(2)
     with pytest.raises(ValueError):
-        min_product_cover(t, 0, 1)
+        CoverCounter(t, 0)
     with pytest.raises(ValueError):
-        min_product_cover(t, [1] * (t.size - 1), 1)
+        CoverCounter(t, [1] * (t.size - 1))
 
 
 def test_product_cover_matches_relaxation_oracle():
@@ -394,7 +393,7 @@ def test_product_cover_matches_relaxation_oracle():
 def test_product_cover_takes_fewest_sets_on_ties():
     # every cover has product 1 under f = 1; the single doad set d("1") wins
     t = build_ht(3)
-    product, wit = min_product_cover(t, 1, mask_from_leaves([5, 6, 7, 8]))
+    product, wit = CoverCounter(t, 1).cover(mask_from_leaves([5, 6, 7, 8]))
     assert product == 1
     assert [m for _, _, m in wit] == [t.desc_masks[t.labels.index("1")]]
 
@@ -431,6 +430,22 @@ def test_weight_mapping_names_vertices():
             weight_vector(t, bad)
     with pytest.raises(ValueError, match="'011' names no vertex"):
         check_trivial_containment(t, {"011": 9}, t, 1)
+
+
+def test_weights_read_integral_scalars_and_reject_fractions():
+    t, mask = build_ht(2), mask_from_leaves([2, 3])
+    want = CoverCounter(t, 2).cover(mask)
+    for f in (np.int64(2), 2.0, np.float64(2.0), [2.0] * t.size, np.full(t.size, 2)):
+        assert CoverCounter(t, f).cover(mask) == want
+        assert NetworkSpec.create(t, f=f).f == (2,) * t.size
+    # a fraction is an error, not a weight truncated to 1
+    for bad in (1.5, [1.5] * t.size, {"r": 2.5}, float("inf"), float("nan"), "2"):
+        with pytest.raises(ValueError, match="positive vertex-weight entries"):
+            CoverCounter(t, bad)
+        with pytest.raises(ValueError, match="positive dimension-vector entries"):
+            NetworkSpec.create(t, f=bad)
+    with pytest.raises(ValueError, match="positive vertex-weight entries"):
+        check_trivial_containment(t, [1.5] * t.size, t, 1)
 
 
 def test_trivial_containment_violation_reports_node():

@@ -7,12 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import min_cover_bnb, random_tree
+from conftest import all_perms, doad_sets, min_cover_bnb, random_tree
 from tnexp.covers import cover_exponent
 from tnexp.ilp import build_ip, export_lp, solve_ip
 from tnexp.trees import (
     Permutation,
-    all_permutations,
     build_ht,
     build_tt,
     enumerate_shapes,
@@ -172,7 +171,7 @@ def test_matches_cover_engine_small_sweep():
     # closed-form cover numbers
     for n in (4, 5):
         shapes = enumerate_shapes(n)
-        perms = list(all_permutations(n))[::11]
+        perms = all_perms(n)[::11]
         for t, t2 in itertools.product(shapes, repeat=2):
             for perm in perms:
                 want = cover_exponent(t, t2, perm).cover_bound
@@ -185,7 +184,7 @@ def test_zero_fixing_enforces_exact_unions():
     # feasible cover an exact union.  dropping them turns the covering
     # rows into a plain hitting problem, where an oversized set can fake
     # a cheaper "cover" that certifies nothing
-    from tnexp.trees import doad_family, mask_from_leaves
+    from tnexp.trees import mask_from_leaves
 
     t, t2 = build_ht(2), build_tt(4)
     perm = Permutation([1, 3, 2, 4])
@@ -193,12 +192,12 @@ def test_zero_fixing_enforces_exact_unions():
     assert solve_ip(model).objective == 2
 
     target = perm.pullback(mask_from_leaves([1, 2]))   # {1,3}
-    fam = doad_family(t)
+    doads = doad_sets(t)
     relaxed = min(
-        (a, b) for a in fam.masks for b in fam.masks
+        (a, b) for a in doads for b in doads
         if (a | b) & target == target)
-    assert any(m & target == target for m in fam.masks)  # one superset suffices
-    assert all(m & ~target for m in fam.masks if m & target == target)
+    assert any(m & target == target for m in doads)  # one superset suffices
+    assert all(m & ~target for m in doads if m & target == target)
 
 
 def _label_maxima(t, vids):
@@ -254,7 +253,7 @@ def test_poset_certificate_is_feasible():
     for n in range(2, 7):
         shapes = enumerate_shapes(n)
         if n <= 4:
-            perms = list(all_permutations(n))
+            perms = all_perms(n)
         else:
             perms = [Permutation(row) for row in _sample_perms(n, 60, seed=1)]
         for t, t2 in itertools.product(shapes, repeat=2):

@@ -127,6 +127,10 @@ def test_flattening_rejects_trivial_splits():
         flattening_rank(t, 0)
     with pytest.raises(ValueError):
         flattening_rank(t, t.spec.tree.full_mask)
+    # a negative mask never shifts down to 0, and bits past leaf n index no leaf
+    for mask in (-2, -1, 1 << 4, 0b10011):
+        with pytest.raises(ValueError, match="nonempty proper leaf subset"):
+            flattening_rank(t, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import all_perms, doad_sets
 from tnexp.covers import build_cover_table, cover_exponent
 from tnexp import cli, search
 from tnexp.bounds import poset_bound
@@ -21,7 +22,7 @@ from tnexp.search import (
     verify_against_reference,
     write_results,
 )
-from tnexp.trees import Permutation, all_permutations, doad_family, enumerate_shapes
+from tnexp.trees import Permutation, enumerate_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +30,7 @@ from tnexp.trees import Permutation, all_permutations, doad_family, enumerate_sh
 
 def test_pullback_table_matches_scalar():
     rng = np.random.default_rng(3)
-    for n, perms in ((5, np.array([p.perm for p in all_permutations(5)], dtype=np.int8)),
+    for n, perms in ((5, np.array(list(itertools.permutations(range(1, 6))), dtype=np.int8)),
                      (9, np.array([rng.permutation(9) + 1 for _ in range(500)], dtype=np.int8))):
         masks = [int(m) for m in rng.integers(1 << n, size=200)]
         pb = _pullback_columns(_leaf_bits(perms), masks)
@@ -81,7 +82,7 @@ def _naive_by_definition(counts, t_prime, perm):
     The search and naive_max both read max(n_S, n_{S^c}) per node of T';
     this reads the doad sets one by one instead.
     """
-    return max(int(counts[perm.pullback(m)]) for m in doad_family(t_prime).masks)
+    return max(int(counts[perm.pullback(m)]) for m in doad_sets(t_prime))
 
 
 def test_naive_matches_its_definition_on_every_small_instance():
@@ -90,7 +91,7 @@ def test_naive_matches_its_definition_on_every_small_instance():
         res = run_search(n, kinds=("naive",)) if n >= 4 else None
         for (i, t), (j, t2) in itertools.product(enumerate(shapes), repeat=2):
             counts = build_cover_table(t)
-            for p, perm in enumerate(all_permutations(n)):
+            for p, perm in enumerate(all_perms(n)):
                 want = _naive_by_definition(counts, t2, perm)
                 assert cover_exponent(t, t2, perm).naive_max == want, (t, t2, perm)
                 if res is not None:

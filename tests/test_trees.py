@@ -2,18 +2,14 @@ import itertools
 
 import pytest
 
-from conftest import EX_LABEL, wedderburn_etherington
+from conftest import EX_LABEL, doad_sets, wedderburn_etherington
 from tnexp.trees import (
     Permutation,
-    all_permutations,
     build_ht,
     build_tt,
-    doad_family,
     enumerate_plane_trees,
     enumerate_shapes,
     heights,
-    label_dual_height,
-    label_height,
     leaves_of_mask,
     mask_from_leaves,
     mask_lca,
@@ -188,41 +184,45 @@ def test_plane_tree_counts_are_catalan():
 
 
 # ---------------------------------------------------------------------------
-# doad families
+# doad sets (the conftest listing the oracles read)
 
 def test_doad_family_two_leaf():
-    fam = doad_family(parse_tree("(..)"))
-    assert set(fam.masks) == {0b01, 0b10, 0b11}
+    assert doad_sets(parse_tree("(..)")).keys() == {0b01, 0b10, 0b11}
 
 
 def test_doad_family_ht2_by_hand():
     # all 7 descendant sets plus the 4 co-singletons; nothing else
-    fam = doad_family(build_ht(2))
+    doads = doad_sets(build_ht(2))
     expected = {mask_from_leaves(s) for s in
                 [(1,), (2,), (3,), (4,), (1, 2), (3, 4), (1, 2, 3, 4),
                  (2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3)]}
-    assert set(fam.masks) == expected
+    assert doads.keys() == expected
+    # {1,2} = d("0") = a("1"): both names, in preorder
+    assert doads[0b0011] == ((1, "desc"), (4, "anti"))
 
 
 def test_doad_family_tt4():
     # every leaf is a vertex, so all singletons and co-singletons are doad
-    fam = doad_family(build_tt(4))
+    doads = doad_sets(build_tt(4))
     expected = {mask_from_leaves(s) for s in
                 [(1,), (2,), (3,), (4,), (1, 2), (1, 2, 3), (1, 2, 3, 4),
                  (3, 4), (2, 3, 4), (1, 3, 4), (1, 2, 4)]}
-    assert set(fam.masks) == expected
+    assert doads.keys() == expected
 
 
 def test_doad_family_invariants():
     for t in enumerate_shapes(6):
-        fam = doad_family(t)
+        doads = doad_sets(t)
         full = t.full_mask
-        assert len(fam.masks) <= 2 * t.size
+        assert list(doads) == sorted(doads)
+        assert len(doads) <= 2 * t.size
         for leaf in range(1, t.n + 1):
-            assert mask_from_leaves([leaf]) in fam
-        for m in fam.masks:
+            assert mask_from_leaves([leaf]) in doads
+        for m, names in doads.items():
             assert m != 0
-            assert (full ^ m) in fam or m == full
+            assert (full ^ m) in doads or m == full
+            assert all((t.desc_masks[v] if kind == "desc" else t.anti_mask(v)) == m
+                       for v, kind in names)
         for v in range(t.size):
             assert t.desc_masks[v] | t.anti_mask(v) == full
             assert t.desc_masks[v] & t.anti_mask(v) == 0
@@ -239,13 +239,23 @@ def test_descendant_sets_are_laminar():
 # ---------------------------------------------------------------------------
 # heights
 
+def _leaf_at(label: str) -> str:
+    """A tree with a leaf at path `label`, every other subtree a leaf."""
+    if not label:
+        return "."
+    inner = _leaf_at(label[1:])
+    return "(" + inner + ".)" if label[0] == "0" else "(." + inner + ")"
+
+
 def test_label_heights():
-    assert label_height("110") == 2
-    assert label_height("01") == 0
-    assert label_height("111") == 0
-    assert label_height("") == 0
-    assert label_dual_height("001") == 2
-    assert label_dual_height("000") == 0
+    # h counts the 1s before the final 0 of a leaf label, h* the 0s before the final 1
+    for label, want_h, want_hs in [("110", 2, 0), ("01", 0, 1), ("111", 0, 0),
+                                   ("001", 0, 2), ("000", 0, 0), ("1010", 2, 1)]:
+        t = parse_tree(_leaf_at(label))
+        leaf = t.leaf_number(t.labels.index(label))
+        h, hs = heights(t)
+        assert (h[leaf - 1], hs[leaf - 1]) == (want_h, want_hs), label
+    assert heights(parse_tree(".")) == ((0,), (0,))
 
 
 def test_heights_fixture():
@@ -351,15 +361,10 @@ def test_pullback():
     assert Permutation.identity(3).pullback(0b101) == 0b101
 
 
-def test_all_permutations_lex():
-    perms = list(all_permutations(3))
-    assert [p.perm for p in perms] == sorted(p.perm for p in perms)
-    assert len(perms) == 6
-    assert len(list(all_permutations(5))) == 120
-
-
 def test_mask_helpers():
     assert build_tt(4).full_mask == 0b1111
     assert mask_from_leaves([1, 3]) == 0b101
     assert leaves_of_mask(0b101) == (1, 3)
     assert leaves_of_mask(0) == ()
+    with pytest.raises(ValueError, match="nonnegative"):
+        leaves_of_mask(-2)
