@@ -52,22 +52,21 @@ Weighted covers back the trivial-containment test, valid for every
 scaling factor r.  CoverCounter(T, f) takes positive vertex weights; a
 doad set weighs its cheapest name (weight, vertex, kind), and exact
 covers rank by product of weights, then size, then first vertex in
-preorder (at f = 1, the count and tie-break above).  In general:
+preorder (at f = 1, the count and tie-break above).  For proper sets:
 
-* Least covers of proper sets stay disjoint, since a dropped nested set
-  weighs >= 1.  The cheapest split of d(v) into descendant sets is d(v)
-  alone or its children's splits joined, tabulated once; joining the
-  splits of S's maximal descendant sets gives the best cover of S
-  without an anti set.
+* Least covers stay disjoint, since a dropped nested set weighs >= 1.
+  The cheapest split of d(v) into descendant sets is d(v) alone or its
+  children's splits joined, tabulated once; joining the splits of S's
+  maximal descendant sets gives the best cover of S without an anti
+  set.
 * Strict ancestors x of w can now win with a cheap a(x).  The rest of
   that cover splits S & d(x), that is S & d(w) and the sibling subtrees
   on the path, so one pass up to a child of the root joins each
   sibling's split in turn.  At f = 1 each step adds sets: A or B wins.
-* The full set admits overlapping pairs: two overlapping sets of a least
-  cover union to every leaf, so it is just a(x) and a non-full set
-  holding d(x).  The least cover is the root's split or, for a non-root
-  x, a(x) joined with d(x)'s split or one such set; the loop is skipped
-  when the root's split is one set of weight 1, which nothing beats.
+
+The full set is asked for only at T''s root, where the empty anti side
+(product 1, no sets) always wins; it answers the root's split, its least
+partition into sets d(v) of weight f(v), at f = 1 (root, "desc").
 
 Production evaluates covers only so: CoverCounter per subset, up to
 LEAF_CAP leaves, for cover_exponent (and so bounds.poset_bound) and,
@@ -119,21 +118,15 @@ class CoverCounter:
     """Least exact doad covers, one leaf subset at a time, under vertex
     weights f as trees.weight_vector reads them; at f = 1, A or B."""
 
-    __slots__ = ("tree", "_split", "_anti", "_sets")
+    __slots__ = ("tree", "_split", "_anti")
 
     def __init__(self, tree: Tree, f=1):
         self.tree = t = tree
         f = weight_vector(t, f)
         full, dm = t.full_mask, t.desc_masks
-        desc = [(f[v], 1, v, ((v, "desc", dm[v]),)) for v in range(t.size)]
-        anti = [(f[v], 1, v, ((v, "anti", full ^ dm[v]),)) for v in range(t.size)]
-        if t.n > 1:   # the root's children u, v share sets: d(u) = a(v), d(v) = a(u)
-            u, v = t.left[t.root], t.right[t.root]
-            desc[u] = anti[v] = min(desc[u], anti[v])
-            desc[v] = anti[u] = min(desc[v], anti[u])
-        self._anti, self._sets = anti, desc[1:] + anti[1:]   # one per non-full set
-        self._split = split = desc                           # children first
-        for v in range(t.size - 1, -1, -1):
+        self._anti = [(f[v], 1, v, ((v, "anti", full ^ dm[v]),)) for v in range(t.size)]
+        self._split = split = [(f[v], 1, v, ((v, "desc", dm[v]),)) for v in range(t.size)]
+        for v in range(t.size - 1, -1, -1):   # children first
             if not t.is_leaf(v):
                 split[v] = min(split[v], _join(split[t.left[v]], split[t.right[v]]), key=_RANK)
 
@@ -146,27 +139,21 @@ class CoverCounter:
 
     def cover(self, mask: int) -> tuple:
         """(f-product, witness) of the least exact cover of `mask`: least
-        f-product, then fewest sets, witness as in `witness`."""
+        f-product, then fewest sets, witness as in `witness`.  The full
+        set answers its least partition into descendant sets."""
         t = self.tree
         full, dm, split, anti = t.full_mask, t.desc_masks, self._split, self._anti
         if not 0 <= mask <= full:
             raise ValueError("mask out of range for this tree")
-        if mask == full:
-            best = split[t.root]
-            if best[:2] != (1, 1):            # one set of weight 1 is unbeatable
-                for x in range(1, t.size):
-                    for c in [split[x]] + [c for c in self._sets if not dm[x] & ~c[3][0][2]]:
-                        best = min(best, _join(anti[x], c), key=_RANK)
-        else:
-            parts = maximal_desc_vertices(t, mask)
-            best = reduce(_join, [split[v] for v in parts], _EMPTY)
-            x = mask_lca(t, full ^ mask)    # S & d(x)'s parts are S's inside d(x)
-            inner = reduce(_join, [split[v] for v in parts if not dm[v] & ~dm[x]], _EMPTY)
-            while x != t.root:                # a(x) plus the split of S & d(x)
-                best = min(best, _join(anti[x], inner), key=_RANK)
-                p = t.parent[x]
-                inner = _join(inner, split[t.left[p] + t.right[p] - x])
-                x = p
+        parts = maximal_desc_vertices(t, mask)
+        best = reduce(_join, [split[v] for v in parts], _EMPTY)
+        x = mask_lca(t, (full ^ mask) or full)   # the full set stops at the root
+        inner = reduce(_join, [split[v] for v in parts if not dm[v] & ~dm[x]], _EMPTY)
+        while x != t.root:                # a(x) plus the split of S & d(x)
+            best = min(best, _join(anti[x], inner), key=_RANK)
+            p = t.parent[x]
+            inner = _join(inner, split[t.left[p] + t.right[p] - x])
+            x = p
         return best[0], tuple(sorted(best[3]))
 
 

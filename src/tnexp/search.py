@@ -53,7 +53,7 @@ import numpy as np
 
 from .bounds import poset_table  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
 from .covers import build_cover_table
-from .trees import enumerate_shapes
+from .trees import enumerate_shapes, perm_string
 
 __all__ = ["SearchResult", "run_search", "write_results",
            "verify_against_reference", "DiffReport"]
@@ -95,7 +95,7 @@ class SearchResult:
     @functools.cached_property
     def perms(self) -> tuple:
         """One-line strings of `perm_array`'s rows (only the CSV needs them all)."""
-        return _perm_strings(self.perm_array)
+        return tuple(map(perm_string, self.perm_array.tolist()))
 
     def values(self, kind: str, i: int, j: int) -> np.ndarray:
         return self.data[kind][i, j]
@@ -203,15 +203,6 @@ def _sample_perms(n: int, count: int, seed: int) -> np.ndarray:
         return np.array(sorted(seen), dtype=np.int8)
     every = _lex_perms(n)
     return every[[p not in seen for p in map(tuple, every.tolist())]]
-
-
-def _perm_strings(perms: np.ndarray) -> tuple:
-    n = perms.shape[1]
-    if n <= 9:
-        # one ASCII digit per entry: each row's bytes are its one-line string
-        digits = (perms + ord("0")).astype(np.uint8)
-        return tuple(digits.view(f"S{n}").ravel().astype(f"U{n}").tolist())
-    return tuple("-".join(str(int(x)) for x in row) for row in perms)
 
 
 def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> SearchResult:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from collections.abc import Mapping
 from functools import lru_cache
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "heights",
     "Permutation",
     "instance_perm",
+    "perm_string",
     "mask_lca",
     "maximal_desc_vertices",
     "weight_vector",
@@ -348,27 +350,14 @@ def maximal_desc_vertices(t: Tree, mask: int) -> list[int]:
 def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:
     """Positive per-vertex weights, indexed by vertex id.
 
-    f is a scalar for every vertex, a sequence by vertex id, or a
-    mapping by label (the root also as "r") where unlisted vertices
-    weigh 1; a key that names no vertex, or the root under both names,
-    is an error.  Entries are real numbers of integral value (2, 2.0
-    and numpy integers alike); any other entry is an error.  `what`
-    names the vector in the error message.
+    f is a scalar for every vertex or a sequence by vertex id; a mapping
+    is an error.  Entries are real numbers of integral value (2, 2.0 and
+    numpy integers alike); any other entry is an error.  `what` names the
+    vector in the error message.
     """
-    if isinstance(f, numbers.Real):
-        vec = (f,) * t.size
-    elif isinstance(f, dict):
-        vertex = {t.node_label(v): v for v in range(t.size)} | {"": t.root}
-        for key in f:
-            if key not in vertex:
-                raise ValueError(f"{what} key {str(key)[:40]!r} names no vertex of {t.n} leaves")
-        if "" in f and "r" in f:
-            raise ValueError(f"{what} gives the root twice, as '' and 'r'")
-        vec = [1] * t.size
-        for key, x in f.items():
-            vec[vertex[key]] = x
-    else:
-        vec = tuple(f)
+    if isinstance(f, Mapping):
+        f = ()                  # refused below, not read by its keys
+    vec = (f,) * t.size if isinstance(f, numbers.Real) else tuple(f)
     if len(vec) != t.size or not all(isinstance(x, numbers.Real) and x >= 1 and x % 1 == 0
                                      for x in vec):
         raise ValueError(f"need {t.size} positive {what} entries")
@@ -384,6 +373,9 @@ class Permutation:
     __slots__ = ("perm",)
 
     def __init__(self, seq):
+        seq = tuple(seq)        # integral numbers, or the digit strings of from_text
+        if not all(isinstance(x, str) or isinstance(x, numbers.Real) and x % 1 == 0 for x in seq):
+            raise ValueError("permutation entries must be integers")
         perm = tuple(int(x) for x in seq)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
@@ -437,9 +429,7 @@ class Permutation:
         return out
 
     def one_line(self) -> str:
-        if self.n <= 9:
-            return "".join(str(p) for p in self.perm)
-        return "-".join(str(p) for p in self.perm)
+        return perm_string(self.perm)
 
     def is_identity(self) -> bool:
         return all(p == i + 1 for i, p in enumerate(self.perm))
@@ -452,6 +442,11 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.perm)})"
+
+
+def perm_string(entries) -> str:
+    """One-line notation of a permutation: "3142" up to 9 leaves, "3-1-4-...-10" above."""
+    return ("" if len(entries) <= 9 else "-").join(map(str, entries))
 
 
 def instance_perm(t: Tree, t_prime: Tree, perm=None) -> Permutation:
@@ -471,6 +466,8 @@ def instance_perm(t: Tree, t_prime: Tree, perm=None) -> Permutation:
 def mask_from_leaves(leaves) -> int:
     out = 0
     for leaf in leaves:
+        if not 1 <= leaf <= LEAF_CAP:
+            raise ValueError(f"leaf {leaf!r} is outside 1..{LEAF_CAP}")
         out |= 1 << (leaf - 1)
     return out
 

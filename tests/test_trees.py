@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import EX_LABEL, doad_sets, wedderburn_etherington
@@ -346,6 +347,16 @@ def test_permutation_parsing():
         Permutation.from_text("312", 4)
 
 
+def test_permutation_entries_must_be_integral():
+    want = Permutation([2, 1, 3])
+    for seq in ([2, 1, 3], (2.0, 1.0, 3.0), np.array([2, 1, 3], dtype=np.int8), ["2", "1", "3"]):
+        assert Permutation(seq) == want
+    # a fraction is an error, not an entry truncated to the identity
+    for bad in ([1.5, 2, 3, 4], [1, 2, 3.25], [1, float("inf")], [float("nan"), 1]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Permutation(bad)
+
+
 def test_permutation_algebra():
     p = Permutation([2, 3, 1])
     assert p(1) == 2
@@ -368,3 +379,10 @@ def test_mask_helpers():
     assert leaves_of_mask(0) == ()
     with pytest.raises(ValueError, match="nonnegative"):
         leaves_of_mask(-2)
+
+
+def test_mask_from_leaves_rejects_leaves_outside_the_cap():
+    assert mask_from_leaves([1, 32]) == 1 | 1 << 31
+    for leaf in (0, -1, 33, 40):
+        with pytest.raises(ValueError, match=f"leaf {leaf} is outside 1..32"):
+            mask_from_leaves([2, leaf])
