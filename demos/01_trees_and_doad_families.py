@@ -51,7 +51,7 @@ print("\nheights count the 1s before the final 0 of a leaf label")
 t = parse_tree("((.(..))(.(..)))")
 h, hs = heights(t)
 for leaf, (a, b) in enumerate(zip(h, hs), start=1):
-    print(f"  leaf {leaf} label {t.labels[t.leaf_vertex(leaf)]:>4}  h={a}  h*={b}")
+    print(f"  leaf {leaf} label {t.labels[t.leaves[leaf - 1]]:>4}  h={a}  h*={b}")
 assert h == (0, 1, 0, 1, 2, 0)
 
 print("\nunordered shapes per leaf count:")

@@ -25,9 +25,9 @@ counter = CoverCounter(ht2)
 print(f"minimum doad covers over {ht2}:")
 for leaves in [(1,), (1, 2), (2, 3), (1, 3), (2, 3, 4), (1, 2, 3, 4)]:
     mask = mask_from_leaves(leaves)
-    wit = counter.witness(mask)
+    wit = counter.cover(mask)[1]
     parts = " + ".join(str(set(leaves_of_mask(m))) for _, _, m in wit)
-    print(f"  {set(leaves)!s:<14} n_S = {counter.count(mask)}   {parts}")
+    print(f"  {set(leaves)!s:<14} n_S = {len(wit)}   {parts}")
 
 # the comb tree on 8 leaves: an interior interval only decomposes into
 # singletons, while its two-sided complement splits into two doads

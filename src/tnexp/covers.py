@@ -24,13 +24,13 @@ sets of v, and D(X) for the number of maximal descendant sets inside X.
   more than w.
 
 Hence n_S = min(D(S), 1 + D(S & d(w))), with n_0 = 0 and n_full = 1; at
-the root the second term is 1 + D(S) and never wins.  CoverCounter.witness
-lists the cover this names as (vertex, kind, set) triples, and
-CoverCounter.count is its length.  A is the maximal descendant sets of S
-in preorder.  B, when w is not the root, is a(w) and then the maximal
-descendant sets of S & d(w) in preorder.  B is taken when it is shorter
-than A, or as long with w before A's first vertex; otherwise A.  The
-full set is (root, "desc") and the empty set has no sets.
+the root the second term is 1 + D(S) and never wins.  CoverCounter.cover
+lists the cover this names as (vertex, kind, set) triples, n_S of them.
+A is the maximal descendant sets of S in preorder.  B, when w is not the
+root, is a(w) and then the maximal descendant sets of S & d(w) in
+preorder.  B is taken when it is shorter than A, or as long with w
+before A's first vertex; otherwise A.  The full set is (root, "desc")
+and the empty set has no sets.
 
 By the bullets, every optimal cover is A or B, so this is also the cover
 of the greedy search that the tests keep as the witness oracle: scan
@@ -130,17 +130,10 @@ class CoverCounter:
             if not t.is_leaf(v):
                 split[v] = min(split[v], _join(split[t.left[v]], split[t.right[v]]), key=_RANK)
 
-    def count(self, mask: int) -> int:
-        return len(self.witness(mask))
-
-    def witness(self, mask: int) -> tuple:
-        """The least cover of `mask` as (vertex, kind, set) triples in preorder."""
-        return self.cover(mask)[1]
-
     def cover(self, mask: int) -> tuple:
-        """(f-product, witness) of the least exact cover of `mask`: least
-        f-product, then fewest sets, witness as in `witness`.  The full
-        set answers its least partition into descendant sets."""
+        """(f-product, witness) of the least exact cover of `mask` (least
+        f-product, then fewest sets), the witness as (vertex, kind, set) triples
+        in preorder.  The full set answers its least partition into descendant sets."""
         t = self.tree
         full, dm, split, anti = t.full_mask, t.desc_masks, self._split, self._anti
         if not 0 <= mask <= full:
@@ -267,7 +260,7 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
                    with_witnesses: bool = False) -> ExponentReport:
     """Certified containment exponent for T' covered by doad sets of T."""
     perm = instance_perm(t, t_prime, perm)
-    counter = CoverCounter(t)
+    cover = CoverCounter(t).cover
 
     full = t.full_mask
     per_node, chosen_covers = [], []
@@ -275,7 +268,7 @@ def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
     for w in t_prime.internal:
         d_set = perm.pullback(t_prime.desc_masks[w])
         a_set = full ^ d_set
-        d_cover, a_cover = counter.witness(d_set), counter.witness(a_set)
+        d_cover, a_cover = cover(d_set)[1], cover(a_set)[1]
         nd, na = len(d_cover), len(a_cover)
         chosen = "anti" if na < nd else "desc"
         per_node.append(NodeCover(t_prime.node_label(w), d_set, a_set, nd, na, chosen))

@@ -30,9 +30,10 @@ enters any answer; the choice of lines only decides how often the
 fallback runs.  Comparing the observed ranks at the nodes of a second
 (probe) tree against r**c * f'(node) gives a one-sided empirical check
 of a claimed containment exponent c: a violation disproves it, agreement
-is evidence only.  Basis matrices are certified full-rank at sampling
-time; a deficient draw (probability below dim/p) is resampled once and
-counted.
+is evidence only.  Every such split is ranked in both orientations, and
+two different ranks raise RankMismatchError.  Basis matrices are
+certified full-rank at sampling time; a deficient draw (probability
+below dim/p) is resampled once and counted.
 """
 
 from __future__ import annotations
@@ -81,14 +82,18 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((hi @ b % PRIME) * (1 << 16) + lo @ b) % PRIME
 
 
-def _eliminate(m: np.ndarray) -> int:
-    """Rank of m (entries already in [0, PRIME)), by elimination in place.
+def mat_rank(a: np.ndarray) -> int:
+    """Exact rank of an integer matrix over the field mod PRIME, by elimination.
 
     Column pivots; each step updates only the trailing block below and
     right of its pivot, with multipliers that carry the pivot inverse, so
     no row is normalised and entries left of the current column go stale.
     Stops once every row holds a pivot or the remaining block is zero.
     """
+    m = np.asarray(a, dtype=np.int64)
+    if m.ndim != 2:
+        raise ValueError("rank needs a 2-d array")
+    m = m % PRIME
     rows, cols = m.shape
     r = c = 0
     while r < rows and c < cols:
@@ -110,14 +115,6 @@ def _eliminate(m: np.ndarray) -> int:
         r += 1
         c += 1
     return r
-
-
-def mat_rank(a: np.ndarray) -> int:
-    """Exact rank of an integer matrix over the field mod PRIME, by elimination."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("rank needs a 2-d array")
-    return _eliminate(a % PRIME)
 
 
 def _times_kron(coeff: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:
@@ -323,15 +320,15 @@ class FlatteningProfile:
 
 def rank_profile(tensor: SampledTensor, probe: Tree,
                  perm: Optional[Permutation] = None, f_prime=1,
-                 exponent: int = 1, check_transpose: bool = True) -> FlatteningProfile:
+                 exponent: int = 1) -> FlatteningProfile:
     """Rank every probe-node split of a sampled tensor.
 
     Each non-root vertex v' of the probe tree contributes the split at
-    its pulled-back descendant set, compared against
-    r**exponent * f'(v').  With check_transpose the complementary
-    reshaping is ranked too, and RankMismatchError is raised if the two
-    ranks differ.  The exponent must lie in 0..LEAF_CAP: every
-    containment exponent is at most floor(n/2) <= LEAF_CAP / 2.
+    its pulled-back descendant set, compared against r**exponent *
+    f'(v').  Both orientations of each split are ranked, and
+    RankMismatchError is raised if the two ranks differ.  The exponent
+    must lie in 0..LEAF_CAP: every containment exponent is at most
+    floor(n/2) <= LEAF_CAP / 2.
     """
     spec = tensor.spec
     t = spec.tree
@@ -354,12 +351,11 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
             rank = cache[mask]
         else:
             rank = flattening_rank(tensor, mask)
-            if check_transpose:
-                co_rank = flattening_rank(tensor, full ^ mask)
-                if co_rank != rank:
-                    raise RankMismatchError(
-                        f"transpose rank mismatch at split {leaves_of_mask(mask)}: "
-                        f"{rank} vs {co_rank}")
+            co_rank = flattening_rank(tensor, full ^ mask)
+            if co_rank != rank:
+                raise RankMismatchError(
+                    f"transpose rank mismatch at split {leaves_of_mask(mask)}: "
+                    f"{rank} vs {co_rank}")
             cache[mask] = rank
             cache[full ^ mask] = rank
         limit = spec.r ** exponent * fp[v]
@@ -405,25 +401,20 @@ def empirical_exponent(spec: NetworkSpec, probe: Tree,
     """
     if spec.r < 2:
         raise ValueError("empirical exponents need r >= 2 (logarithm base)")
-    if perm is None:
-        perm = Permutation.identity(spec.tree.n)
-    fp = weight_vector(probe, f_prime, "probe dimension-vector")
-    f_of = {probe.node_label(v): fp[v] for v in range(probe.size)}
     seeds = trial_seeds(seed, trials)
     per_node: dict[str, int] = {}
     per_node_rank: dict[str, int] = {}
     for ts in seeds:
-        tensor = sample_tensor(spec, ts)
-        profile = rank_profile(tensor, probe, perm=perm, f_prime=fp,
-                               exponent=1, check_transpose=False)
-        for (lab, _, rank, _, _) in profile.entries:
-            e = _needed_exponent(rank, spec.r, f_of[lab])
+        profile = rank_profile(sample_tensor(spec, ts), probe, perm=perm,
+                               f_prime=f_prime, exponent=0)
+        for (lab, _, rank, f_val, _) in profile.entries:
+            e = _needed_exponent(rank, spec.r, f_val)
             per_node[lab] = max(per_node.get(lab, 0), e)
             per_node_rank[lab] = max(per_node_rank.get(lab, 0), rank)
     return {
         "tree": spec.tree.text,
         "probe": probe.text,
-        "perm": perm.one_line(),
+        "perm": profile.perm,
         "r": spec.r,
         "trials": trials,
         "seed": seed,

@@ -21,10 +21,10 @@ front, and a side's tables are one (shapes, entries) array.  The loop
 runs over target shapes T': one float64 product of its nodes' leaf
 membership with the permutations' leaf bits gives the index columns,
 one gather takes them from every shape's row, and the max over the
-columns is the target's column of the result.  While 4^n <=
-PAIR_TABLE_CAP, i.e. n <= 9, an index covers two T' nodes: a shape's
-pair table holds max(t[a], t[b]) at a << n | b, and the product pulls
-back a << n | b at once (every sum stays below 2^18, exact).
+columns is the target's column of the result (every sum stays below
+2^n, exact).  While 4^n <= PAIR_TABLE_CAP, i.e. n <= 9, an index covers
+two T' nodes: a shape's pair table holds max(t[a], t[b]) at a << n | b,
+and two pulled-back columns a, b form that index after the product.
 
 Results are one uint8 array of shape (shapes, shapes, perms) per side,
 permutations in lexicographic order, so the outputs are deterministic.
@@ -126,14 +126,13 @@ class SearchResult:
         return self._memo["digest", id(arr)]
 
 
-def _leaf_bits(perms: np.ndarray, group: int = 1) -> np.ndarray:
-    """(group n, P) float64: row g n + x holds 2^(g n + l) where perms[p, l] == x + 1,
-    so a mask shifted up by g n pulls back to the OR, here the sum, of its leaves' rows."""
+def _leaf_bits(perms: np.ndarray) -> np.ndarray:
+    """(n, P) float64: row x holds 2^l where perms[p, l] == x + 1, so a
+    mask pulls back to the OR, here the sum, of its leaves' rows."""
     count, n = perms.shape
-    bits = np.empty((group, n, count))
-    bits[0, perms.T - 1, np.arange(count)] = (2.0 ** np.arange(n))[:, None]
-    bits[1:] = bits[0] * 2.0 ** (n * np.arange(1, group))[:, None, None]
-    return bits.reshape(group * n, count)
+    bits = np.empty((n, count))
+    bits[perms.T - 1, np.arange(count)] = (2.0 ** np.arange(n))[:, None]
+    return bits
 
 
 def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
@@ -141,21 +140,10 @@ def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
 
     out[k, p] has leaf l set iff perms[p, l] is a leaf of masks[k], as in
     Permutation.pullback: one product of the masks' 0/1 leaf-membership
-    matrix with `_leaf_bits`, exact in float64 since every sum is below 2^18.
+    matrix with `_leaf_bits`, exact in float64 since every sum is below 2^n.
     """
     member = np.asarray(masks, dtype=np.intp)[:, None] >> np.arange(len(leaf_bits)) & 1
     return (member.astype(np.float64) @ leaf_bits).astype(np.intp)
-
-
-def _node_masks(t, group: int) -> list:
-    """Descendant sets of the non-root internal vertices (n - 2 of them),
-    `group` to an index: a pair is a << n | b, and an odd count pairs the
-    last set with mask 0, whose floored entry 1 leaves every max unchanged."""
-    masks = [t.desc_masks[w] for w in t.internal if w != t.root]
-    if group == 2:
-        masks += [0] * (len(masks) % 2)
-        masks = [a << t.n | b for a, b in zip(masks[0::2], masks[1::2])]
-    return masks
 
 
 def _lex_perms(n: int) -> np.ndarray:
@@ -217,11 +205,12 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
             "pass sample_perms for larger n")
     if sample_perms is not None and not 4 <= n <= SAMPLED_SEARCH_CAP:
         raise ValueError(f"sampled search supports 4..{SAMPLED_SEARCH_CAP} leaves")
-    bad = [k for k in kinds if k not in KINDS]
-    if bad:
-        raise ValueError(f"unknown bound kinds {bad}; choose from {KINDS}")
-    if not kinds or len(set(kinds)) != len(kinds):
-        raise ValueError(f"need distinct bound kinds from {KINDS}, got {list(kinds)}")
+    for i, k in enumerate(kinds):   # name one entry: the list may be huge
+        if k not in KINDS or k in kinds[:i]:
+            raise ValueError(f"{'repeated' if k in KINDS else 'unknown'} bound kind "
+                             f"{str(k)[:20]!r}; choose distinct kinds from {KINDS}")
+    if not kinds:
+        raise ValueError(f"need at least one bound kind from {KINDS}")
 
     shapes = enumerate_shapes(n)
     perm_count = math.factorial(n)
@@ -233,7 +222,7 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
     sampled = sample_perms is not None
     perms = _sample_perms(n, int(sample_perms), seed) if sampled else _lex_perms(n)
     group = 2 if 4 ** n <= PAIR_TABLE_CAP else 1
-    leaf_bits = _leaf_bits(perms, group)
+    leaf_bits = _leaf_bits(perms)
 
     counts = np.array([build_cover_table(t) for t in shapes])
     # one lookup table per shape and distinct side
@@ -243,7 +232,11 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
     arrays = {side: np.empty((len(shapes), len(shapes), len(perms)), dtype=np.uint8)
               for side in tables}
     for j, target in enumerate(shapes):
-        idx = _pullback_columns(leaf_bits, _node_masks(target, group))
+        # the n - 2 non-root internal sets, padded to pairs by mask 0 (floored entry 1)
+        masks = [target.desc_masks[w] for w in target.internal if w != target.root]
+        idx = _pullback_columns(leaf_bits, masks + [0] * (len(masks) % group))
+        if group == 2:
+            idx = idx[0::2] << n | idx[1::2]
         for side, side_tables in tables.items():
             # (S, columns, P) gather, reduced over T' nodes into column j; indices
             # are in range, so "wrap" only skips take's buffered bounds check
@@ -388,7 +381,8 @@ def verify_against_reference(ours_path, reference_path, adapter=None) -> DiffRep
         raise ValueError("adapter names one reference column twice")
     ours, theirs = _rows(ours_path, {}), _rows(reference_path, adapter)
     mine, ref = next(ours), next(theirs)
-    if not mine.keys() & ref.keys():
+    shared = sorted(mine.keys() & ref.keys())   # every row carries its header's columns
+    if not shared:
         raise ValueError(f"no bound column in common: ours has {', '.join(mine.values())}, "
                          f"the reference has {', '.join(ref.values())}")
     end = ((math.inf,), None, None)
@@ -400,7 +394,6 @@ def verify_against_reference(ours_path, reference_path, adapter=None) -> DiffRep
         elif b[0] < a[0]:
             only_theirs.append(b[1])
         else:
-            shared = sorted(a[2].keys() & b[2].keys())
             compared += len(shared)
             mismatches += [(a[1], c, a[2][c], b[2][c]) for c in shared if a[2][c] != b[2][c]]
         a, b = next(ours, end) if a[0] <= b[0] else a, next(theirs, end) if b[0] <= a[0] else b

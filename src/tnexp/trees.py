@@ -151,10 +151,6 @@ class Tree:
     def is_leaf(self, v: int) -> bool:
         return self.left[v] < 0
 
-    def leaf_vertex(self, leaf: int) -> int:
-        """Vertex id of leaf number `leaf` (1-based, left to right)."""
-        return self.leaves[leaf - 1]
-
     def leaf_number(self, v: int) -> int:
         """1-based leaf number of a leaf vertex, 0 for internal vertices."""
         return self._leaf_no.get(v, 0)
@@ -377,8 +373,9 @@ class Permutation:
         if not all(isinstance(x, str) or isinstance(x, numbers.Real) and x % 1 == 0 for x in seq):
             raise ValueError("permutation entries must be integers")
         perm = tuple(int(x) for x in seq)
-        if sorted(perm) != list(range(1, len(perm) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
+        missing = set(range(1, len(perm) + 1)).difference(perm)
+        if missing:             # name one value: the input may be huge
+            raise ValueError(f"not a permutation of 1..{len(perm)}: {min(missing)} is missing")
         self.perm = perm
 
     @classmethod
@@ -405,9 +402,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.perm)
 
-    def __call__(self, leaf: int) -> int:
-        return self.perm[leaf - 1]
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, p in enumerate(self.perm):
@@ -415,13 +409,13 @@ class Permutation:
         return Permutation(inv)
 
     def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
+        """self after other: entry x of the result is self.perm[other.perm[x - 1] - 1]."""
         if self.n != other.n:
             raise ValueError("cannot compose permutations of different sizes")
         return Permutation(self.perm[other.perm[i] - 1] for i in range(self.n))
 
     def pullback(self, mask: int) -> int:
-        """Preimage bitmask: leaf l is in the result iff perm(l) is in mask."""
+        """Preimage bitmask: leaf l is in the result iff perm[l - 1] is in mask."""
         out = 0
         for i, p in enumerate(self.perm):
             if (mask >> (p - 1)) & 1:

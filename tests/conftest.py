@@ -116,7 +116,7 @@ def bfs_cover_table(t: Tree) -> np.ndarray:
 
 def greedy_witness(t: Tree, count, mask: int) -> tuple:
     """One optimal decomposition of `mask` as (vertex, kind, set) triples, by
-    greedy search: the oracle for CoverCounter.witness.
+    greedy search: the oracle for CoverCounter.cover's witness.
 
     `count` maps a leaf mask to n_S.  Each step removes the doad set d
     inside what remains with n(remaining ^ d) = k - 1 whose (vertex, kind)

@@ -71,14 +71,14 @@ def _poset_bound_by_doad_scan(t, t_prime, perm=None):
     in ascending mask order, the full set skipped, keeping the first that
     attains the max of min(n_S, n_{S^c}) over its pullback."""
     perm = instance_perm(t, t_prime, perm)
-    count = CoverCounter(t).count
+    cover = CoverCounter(t).cover
     full = t.full_mask
     best, best_mask = 1, None
     for m in doad_sets(t_prime):
         if m == full:
             continue
         pm = perm.pullback(m)
-        v = min(count(pm), count(full ^ pm))
+        v = min(len(cover(pm)[1]), len(cover(full ^ pm)[1]))
         if v > best:
             best, best_mask = v, m
     note = ""
@@ -138,7 +138,7 @@ def _min_side_cover_by_labels(t, mask):
                    if not any(lab[:k] in labset for k in range(len(lab))))
 
     def leaf_lca_label(m):
-        labels = [t.labels[t.leaf_vertex(l)] for l in leaves_of_mask(m)]
+        labels = [t.labels[t.leaves[l - 1]] for l in leaves_of_mask(m)]
         lo, hi = min(labels), max(labels)
         i = 0
         while i < len(lo) and lo[i] == hi[i]:

@@ -383,9 +383,12 @@ def test_closed_stdout_exits_141_quietly():
     ("search", "--n", "4", "--kinds", ""),
     ("exponent", "(..)" + "x" * 100000, "tt:2"),
     ("verify-ranks", "--tree", "tt:4", "--probe", "ht:2", "--trials", "1000000000000"),
+    ("exponent", "ht:2", "tt:4", "--perm", ",".join(["1"] * 20000)),
+    ("search", "--n", "4", "--kinds", ",".join(["x"] * 20000)),
+    ("search", "--n", "4", "--kinds", ",".join(["cover"] * 20000)),
 ], ids=["comb2000", "deep-open", "ht-huge", "exponent-neg", "exponent-huge",
         "sample-n12", "sample-n10", "kinds-repeated", "kinds-empty", "long-tail",
-        "trials-huge"])
+        "trials-huge", "perm-huge", "kinds-unknown-huge", "kinds-repeated-huge"])
 def test_oversized_input_exits_2_in_bounded_memory(argv):
     proc = run_capped(*argv)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr

@@ -123,7 +123,7 @@ def test_table_memory_is_bounded_by_blocks():
 def test_counter_matches_table_every_subset():
     for t in ORACLE_TREES:
         counter = CoverCounter(t)
-        got = [counter.count(mask) for mask in range(1 << t.n)]
+        got = [len(counter.cover(mask)[1]) for mask in range(1 << t.n)]
         assert np.array_equal(got, bfs_cover_table(t)), t
 
 
@@ -135,7 +135,7 @@ def test_witness_decompositions():
         # ht:4 has 65536 subsets; a stride keeps the test short
         step = 7 if t.n > 12 else 1
         for mask in range(1, t.full_mask + 1, step):
-            wit = counter.witness(mask)
+            wit = counter.cover(mask)[1]
             assert len(wit) == table[mask]
             union = 0
             for vid, kind, m in wit:
@@ -143,7 +143,7 @@ def test_witness_decompositions():
                 assert union & m == 0  # pairwise disjoint
                 union |= m
             assert union == mask
-            assert CoverCounter(t).witness(mask) == wit  # deterministic
+            assert CoverCounter(t).cover(mask)[1] == wit  # deterministic
 
 
 def test_witness_matches_greedy_oracle():
@@ -151,17 +151,15 @@ def test_witness_matches_greedy_oracle():
         counter, table = CoverCounter(t), bfs_cover_table(t)
         step = 7 if t.n > 12 else 1   # as in test_witness_decompositions
         for mask in range(0, t.full_mask + 1, step):
-            assert counter.witness(mask) == greedy_witness(t, table.item, mask), (t, mask)
+            assert counter.cover(mask)[1] == greedy_witness(t, table.item, mask), (t, mask)
 
 
 def test_counter_rejects_masks_outside_the_leaf_set():
     counter = CoverCounter(build_tt(4))
-    assert counter.count(0) == 0 and counter.count(15) == 1
+    assert counter.cover(0) == (1, ()) and len(counter.cover(15)[1]) == 1
     for mask in (-1, 16):
         with pytest.raises(ValueError, match="out of range"):
-            counter.count(mask)
-        with pytest.raises(ValueError, match="out of range"):
-            counter.witness(mask)
+            counter.cover(mask)
         with pytest.raises(ValueError, match="out of range"):
             CoverCounter(build_tt(4), 2).cover(mask)
 
@@ -320,8 +318,8 @@ def test_product_full_set_overlapping_pair():
     t = build_ht(2)
     f = [10] * t.size
     f[t.root] = 5
-    f[t.leaf_vertex(1)] = 1
-    f[t.leaf_vertex(3)] = 1
+    f[t.leaves[0]] = 1
+    f[t.leaves[2]] = 1
     assert CoverCounter(t, f).cover(t.full_mask) == (5, ((t.root, "desc", t.full_mask),))
 
 

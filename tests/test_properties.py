@@ -64,8 +64,8 @@ def test_cover_bound_at_most_half_the_leaves(case):
 @given(trees(max_leaves=10))
 def test_counter_matches_bfs_table(t):
     table = bfs_cover_table(t)
-    count = CoverCounter(t).count
-    assert [count(m) for m in range(1 << t.n)] == table.tolist()
+    cover = CoverCounter(t).cover
+    assert [len(cover(m)[1]) for m in range(1 << t.n)] == table.tolist()
 
 
 @BOUNDED
@@ -85,7 +85,7 @@ def test_witness_matches_greedy_oracle(case):
     t, masks = case
     table, counter = build_cover_table(t), CoverCounter(t)
     for mask in masks:
-        assert counter.witness(mask) == greedy_witness(t, table.item, mask)
+        assert counter.cover(mask)[1] == greedy_witness(t, table.item, mask)
 
 
 @BOUNDED

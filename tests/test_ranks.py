@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from tnexp.ranks import (
     sample_tensor,
     trial_seeds,
 )
-from tnexp.trees import build_ht, build_tt, enumerate_shapes, parse_tree
+from tnexp.trees import (
+    Permutation,
+    build_ht,
+    build_tt,
+    enumerate_plane_trees,
+    enumerate_shapes,
+    parse_tree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +214,23 @@ def test_empirical_reports_seeds():
     b = empirical_exponent(spec, build_tt(4), trials=3, seed=5)
     assert a["trial_seeds"] == b["trial_seeds"]
     assert len(a["trial_seeds"]) == 3
+
+
+def test_empirical_answers_are_pinned():
+    # sha256 over 40 seeded reports: n = 4..8, plane trees, perms (every
+    # fourth the default identity), dims and r in {2, 3}, f' entries in {1, 2}
+    rng = np.random.default_rng(23)
+    digest = hashlib.sha256()
+    for k in range(40):
+        n = 4 + k % 5
+        trees = enumerate_plane_trees(n)
+        t, probe = (trees[int(i)] for i in rng.integers(len(trees), size=2))
+        perm = None if k % 4 == 0 else Permutation(rng.permutation(n) + 1)
+        spec = NetworkSpec.create(t, leaf_dims=int(rng.integers(2, 4)), r=int(rng.integers(2, 4)))
+        f_prime = [int(x) for x in rng.integers(1, 3, size=probe.size)]
+        report = empirical_exponent(spec, probe, perm=perm, trials=2, seed=k, f_prime=f_prime)
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == "ee5008229be045ebd45981054c766d0b92a508e93f5712a3e24b1fc416e957e5"
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +469,11 @@ def test_transpose_mismatch_raises_named_error(monkeypatch):
     spec = NetworkSpec.create(build_tt(4), leaf_dims=2, f=1, r=2)
     with pytest.raises(ranks.RankMismatchError, match="transpose rank mismatch"):
         rank_profile(sample_tensor(spec, 0), build_tt(4))
+
+
+def test_empirical_exponent_checks_transposes(monkeypatch):
+    # the same orientation-reading fake rank, through the sampled trials
+    monkeypatch.setattr(ranks, "mat_rank", lambda a: np.asarray(a).shape[0])
+    spec = NetworkSpec.create(build_tt(4), leaf_dims=2, f=1, r=2)
+    with pytest.raises(ranks.RankMismatchError, match="transpose rank mismatch"):
+        empirical_exponent(spec, build_tt(4), trials=1)

@@ -40,18 +40,6 @@ def test_pullback_table_matches_scalar():
             assert pb[k, pi] == Permutation(perms[pi]).pullback(mask)
 
 
-def test_packed_pullback_is_the_pair_of_pullbacks():
-    # one product pulls back a << n | b through the doubled leaf bits
-    rng = np.random.default_rng(4)
-    for n in (4, 8, 9):
-        perms = np.array([rng.permutation(n) + 1 for _ in range(300)], dtype=np.int8)
-        pairs = [tuple(int(m) for m in rng.integers(1 << n, size=2)) for _ in range(50)]
-        pb = _pullback_columns(_leaf_bits(perms, 2), [a << n | b for a, b in pairs])
-        for k, (a, b) in enumerate(pairs):
-            perm = Permutation(perms[k])
-            assert pb[k, k] == perm.pullback(a) << n | perm.pullback(b)
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_lex_perms_match_itertools(n):
     want = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)

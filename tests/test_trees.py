@@ -292,13 +292,13 @@ def test_lca_examples():
     t = build_ht(2)
     assert mask_lca(t, 0b0011) == t.labels.index("0")
     assert mask_lca(t, t.full_mask) == t.root
-    assert mask_lca(t, 0b0100) == t.leaf_vertex(3)
+    assert mask_lca(t, 0b0100) == t.leaves[2]
 
 
 def test_maxima_example():
     # leaves other than leaf 1: the sibling leaf and the whole right subtree
     t = build_ht(2)
-    assert maximal_desc_vertices(t, 0b1110) == [t.leaf_vertex(2), t.labels.index("1")]
+    assert maximal_desc_vertices(t, 0b1110) == [t.leaves[1], t.labels.index("1")]
     assert maximal_desc_vertices(t, t.full_mask) == [t.root]
 
 
@@ -324,7 +324,7 @@ def test_mask_queries_match_vertex_queries():
         for t in enumerate_shapes(n):
             dm = t.desc_masks
             for mask in range(1, t.full_mask + 1):
-                leaves = [t.leaf_vertex(l) for l in leaves_of_mask(mask)]
+                leaves = [t.leaves[l - 1] for l in leaves_of_mask(mask)]
                 assert mask_lca(t, mask) == _lca(t, leaves)
                 inside = [v for v in range(t.size) if not dm[v] & ~mask]
                 got = maximal_desc_vertices(t, mask)
@@ -359,7 +359,7 @@ def test_permutation_entries_must_be_integral():
 
 def test_permutation_algebra():
     p = Permutation([2, 3, 1])
-    assert p(1) == 2
+    assert p.perm[0] == 2
     assert p.inverse().compose(p) == Permutation.identity(3)
     assert p.compose(p.inverse()) == Permutation.identity(3)
 
