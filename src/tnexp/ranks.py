@@ -30,21 +30,23 @@ enters any answer; the choice of lines only decides how often the
 fallback runs.  Comparing the observed ranks at the nodes of a second
 (probe) tree against r**c * f'(node) gives a one-sided empirical check
 of a claimed containment exponent c: a violation disproves it, agreement
-is evidence only.  Every such split is ranked in both orientations, and
-two different ranks raise RankMismatchError.  Basis matrices are
-certified full-rank at sampling time; a deficient draw (probability
-below dim/p) is resampled once and counted.
+is evidence only.  `flattening_rank` also ranks the transpose of the
+matrix it ranked, and two different ranks raise RankMismatchError.
+Basis matrices are certified full-rank at sampling time; a deficient
+draw (probability below dim/p) is resampled once and counted.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .trees import LEAF_CAP, Permutation, Tree, instance_perm, leaves_of_mask, weight_vector
+from .trees import (LEAF_CAP, Permutation, Tree, instance_perm, integral, leaves_of_mask,
+                    weight_vector)
 
 __all__ = [
     "PRIME",
@@ -93,7 +95,7 @@ def mat_rank(a: np.ndarray) -> int:
     m = np.asarray(a, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError("rank needs a 2-d array")
-    m = m % PRIME
+    m = np.remainder(m, PRIME, order="C")    # row order even for a transposed view
     rows, cols = m.shape
     r = c = 0
     while r < rows and c < cols:
@@ -154,16 +156,16 @@ class NetworkSpec:
 
     @classmethod
     def create(cls, tree: Tree, leaf_dims=2, f=1, r: int = 1) -> "NetworkSpec":
-        if isinstance(leaf_dims, int):
+        if isinstance(leaf_dims, numbers.Real):
             leaf_dims = (leaf_dims,) * tree.n
-        else:
-            leaf_dims = tuple(int(d) for d in leaf_dims)
+        leaf_dims = tuple(integral(d, "leaf dimension") for d in leaf_dims)
         if len(leaf_dims) != tree.n or any(d < 1 for d in leaf_dims):
             raise ValueError(f"need {tree.n} positive leaf dimensions")
         f = weight_vector(tree, f, "dimension-vector")
+        r = integral(r, "scale r")
         if r < 1:
             raise ValueError("scale r must be >= 1")
-        return cls(tree=tree, leaf_dims=leaf_dims, f=f, r=int(r))
+        return cls(tree=tree, leaf_dims=leaf_dims, f=f, r=r)
 
     @property
     def ambient_dim(self) -> int:
@@ -264,10 +266,16 @@ def _cut_bound(tensor: SampledTensor, mask: int) -> int:
     return min(cost[t.root])
 
 
+class RankMismatchError(RuntimeError):
+    """A flattening and its transpose were ranked differently."""
+
+
 def flattening_rank(tensor: SampledTensor, mask: int) -> int:
     """Exact rank of the tensor reshaped along the split (mask | rest).
 
-    A sub-block whose rank reaches the cut bound certifies the answer.
+    A sub-block whose rank reaches the cut bound certifies the answer,
+    else the whole flattening is ranked.  The transpose of the one ranked
+    last is ranked too, and a different rank raises RankMismatchError.
     """
     spec, full = tensor.spec, tensor.spec.tree.full_mask
     if not 0 < mask < full:
@@ -282,13 +290,16 @@ def flattening_rank(tensor: SampledTensor, mask: int) -> int:
         # a prime stride above AMBIENT_CAP: distinct lines, no aliasing
         lines = np.arange(min(2 * u, size)) * 2654435761 % size
         offsets.append(strides[axes] @ np.unravel_index(lines, shape))
-    if mat_rank(tensor.coeffs[offsets[0][:, None] + offsets[1]]) == u:
-        return u
-    return mat_rank(_flat_matrix(tensor, mask))
-
-
-class RankMismatchError(RuntimeError):
-    """A flattening and its transpose were ranked differently."""
+    block = tensor.coeffs[offsets[0][:, None] + offsets[1]]
+    rank = mat_rank(block)
+    if rank < u:
+        block = _flat_matrix(tensor, mask)
+        rank = mat_rank(block)
+    co_rank = mat_rank(block.T)
+    if co_rank != rank:
+        raise RankMismatchError(f"transpose rank mismatch at split {leaves_of_mask(mask)}: "
+                                f"{rank} vs {co_rank}")
+    return rank
 
 
 @dataclass(frozen=True)
@@ -325,15 +336,15 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
 
     Each non-root vertex v' of the probe tree contributes the split at
     its pulled-back descendant set, compared against r**exponent *
-    f'(v').  Both orientations of each split are ranked, and
-    RankMismatchError is raised if the two ranks differ.  The exponent
-    must lie in 0..LEAF_CAP: every containment exponent is at most
-    floor(n/2) <= LEAF_CAP / 2.
+    f'(v'), and each split is ranked once (both orientations, see
+    flattening_rank).  The exponent must lie in 0..LEAF_CAP: every
+    containment exponent is at most floor(n/2) <= LEAF_CAP / 2.
     """
     spec = tensor.spec
     t = spec.tree
     if probe.n != t.n:
         raise ValueError(f"probe has {probe.n} leaves, tensor has {t.n}")
+    exponent = integral(exponent, "exponent")
     if not 0 <= exponent <= LEAF_CAP:
         raise ValueError(f"exponent must be in 0..{LEAF_CAP}, got {exponent}")
     perm = instance_perm(t, probe, perm)
@@ -347,17 +358,9 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
         if v == probe.root:
             continue
         mask = perm.pullback(probe.desc_masks[v])
-        if mask in cache:
-            rank = cache[mask]
-        else:
-            rank = flattening_rank(tensor, mask)
-            co_rank = flattening_rank(tensor, full ^ mask)
-            if co_rank != rank:
-                raise RankMismatchError(
-                    f"transpose rank mismatch at split {leaves_of_mask(mask)}: "
-                    f"{rank} vs {co_rank}")
-            cache[mask] = rank
-            cache[full ^ mask] = rank
+        if mask not in cache:
+            cache[mask] = cache[full ^ mask] = flattening_rank(tensor, mask)
+        rank = cache[mask]
         limit = spec.r ** exponent * fp[v]
         good = rank <= limit
         all_ok = all_ok and good

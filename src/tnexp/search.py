@@ -53,7 +53,7 @@ import numpy as np
 
 from .bounds import poset_table  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
 from .covers import build_cover_table
-from .trees import enumerate_shapes, perm_string
+from .trees import enumerate_shapes, integral, perm_string
 
 __all__ = ["SearchResult", "run_search", "write_results",
            "verify_against_reference", "DiffReport"]
@@ -199,11 +199,14 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
     Full permutation products are allowed for 4 <= n <= 8; beyond that a
     sampled permutation set must be requested (flagged in the result).
     """
-    if sample_perms is None and not 4 <= n <= FULL_SEARCH_CAP:
+    sampled = sample_perms is not None
+    if sampled:
+        sample_perms = integral(sample_perms, "sample_perms")
+    if not sampled and not 4 <= n <= FULL_SEARCH_CAP:
         raise ValueError(
             f"full search supports 4..{FULL_SEARCH_CAP} leaves (got n={n}); "
             "pass sample_perms for larger n")
-    if sample_perms is not None and not 4 <= n <= SAMPLED_SEARCH_CAP:
+    if sampled and not 4 <= n <= SAMPLED_SEARCH_CAP:
         raise ValueError(f"sampled search supports 4..{SAMPLED_SEARCH_CAP} leaves")
     for i, k in enumerate(kinds):   # name one entry: the list may be huge
         if k not in KINDS or k in kinds[:i]:
@@ -214,13 +217,12 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
 
     shapes = enumerate_shapes(n)
     perm_count = math.factorial(n)
-    if sample_perms is not None:
-        perm_count = min(int(sample_perms), perm_count)
+    if sampled:
+        perm_count = min(sample_perms, perm_count)
     if len(shapes) ** 2 * perm_count > INSTANCE_CAP:
         raise ValueError(f"{len(shapes)}^2 shape pairs x {perm_count} permutations exceed "
                          f"the {INSTANCE_CAP} instances a search can hold per kind")
-    sampled = sample_perms is not None
-    perms = _sample_perms(n, int(sample_perms), seed) if sampled else _lex_perms(n)
+    perms = _sample_perms(n, sample_perms, seed) if sampled else _lex_perms(n)
     group = 2 if 4 ** n <= PAIR_TABLE_CAP else 1
     leaf_bits = _leaf_bits(perms)
 

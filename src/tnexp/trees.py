@@ -6,13 +6,14 @@ A tree is its balanced-parenthesis string, where "." is a leaf and
 "((..)(..))" is the perfect tree of depth 2 and "(((..).).)" the 4-leaf
 comb.  The string is the only representation: a vertex id is the
 position of its character among the characters that are not ")", which
-is depth-first preorder, and one left-to-right scan of the string
-builds every structural array.  The scan stops with a ValueError at the
-LEAF_CAP leaf cap, so no input, however long or deeply nested, makes it
-build more than 2 * LEAF_CAP - 1 vertices.  Leaves are numbered 1..n
-from left to right, and every vertex carries the 0/1 path label of the
-left(0)/right(1) steps reaching it from the root (root label: "").  Leaf
-numbering agrees with lexicographic order of the path labels.
+is depth-first preorder, and one recursive descent over the grammar
+tree := "." | "(" tree tree ")", one call per vertex, builds every
+structural array.  It stops with a ValueError at the LEAF_CAP leaf cap,
+so no input, however long or deeply nested, makes it build more than
+2 * LEAF_CAP - 1 = 63 vertices or nest deeper.  Leaves are numbered
+1..n from left to right, and every vertex carries the 0/1 path label of
+the left(0)/right(1) steps reaching it from the root (root label: "").
+Leaf numbering agrees with lexicographic order of the path labels.
 
 Leaf subsets are plain int bitmasks with leaf k on bit k-1.  The doad
 sets of a tree are, for every vertex v, its descendant leaf set
@@ -42,6 +43,7 @@ __all__ = [
     "mask_lca",
     "maximal_desc_vertices",
     "weight_vector",
+    "integral",
     "mask_from_leaves",
     "leaves_of_mask",
 ]
@@ -55,7 +57,7 @@ LEAF_CAP = 32        # bitmask width
 # tree structure
 
 class Tree:
-    """Immutable full binary plane tree, built by one scan of its string.
+    """Immutable full binary plane tree, built by one descent over its string.
 
     Vertex v is the v-th character of `text` that is not ")": ids run
     0..2n-2 in depth-first preorder (root = 0), which coincides with
@@ -65,14 +67,13 @@ class Tree:
     """
 
     __slots__ = ("n", "parent", "left", "right", "labels", "leaves",
-                 "desc_masks", "text", "_leaf_no")
+                 "desc_masks", "text")
 
     def __init__(self, text: str):
-        parent, left, right, labels, leaves = [], [], [], [], []
-        stack = []               # open internal nodes as (vertex, position)
-        pos = 0
-        while True:
-            # a vertex starts at pos
+        parent, left, right, labels, leaves, masks = [], [], [], [], [], []
+
+        def vertex(pos: int, par: int, label: str) -> int:
+            """Build the subtree that starts at pos; return the position after it."""
             if pos >= len(text):
                 raise ValueError("unbalanced tree string: unexpected end of input")
             c = text[pos]
@@ -81,36 +82,28 @@ class Tree:
             if c == "(" and text.startswith(")", pos + 1):
                 raise ValueError(f"node at position {pos} has no children")
             v = len(parent)
-            if v == 2 * LEAF_CAP - 1:
+            if v == 2 * LEAF_CAP - 1:   # before any recursion: at most 63 calls deep
                 raise _over_cap(text)
-            par = stack[-1][0] if stack else -1
             parent.append(par)
-            left.append(-1)
+            labels.append(label)
+            left.append(v + 1 if c == "(" else -1)
             right.append(-1)
-            if par < 0:
-                labels.append("")
-            elif left[par] < 0:
-                left[par] = v
-                labels.append(labels[par] + "0")
-            else:
-                right[par] = v
-                labels.append(labels[par] + "1")
-            pos += 1
-            if c == "(":
-                stack.append((v, pos - 1))
-                continue
-            leaves.append(v)
-            # a subtree ends at pos: close every node whose second child it completes
-            while stack and right[stack[-1][0]] >= 0:
-                if not text.startswith(")", pos):
-                    raise ValueError(f"node at position {stack[-1][1]} has more than two "
-                                     f"children or is unclosed")
-                stack.pop()
-                pos += 1
-            if not stack:
-                break
-            if text.startswith(")", pos):
-                raise ValueError(f"node at position {stack[-1][1]} has only one child")
+            masks.append(0 if c == "(" else 1 << len(leaves))
+            if c == ".":
+                leaves.append(v)
+                return pos + 1
+            end = vertex(pos + 1, v, label + "0")
+            if text.startswith(")", end):
+                raise ValueError(f"node at position {pos} has only one child")
+            right[v] = len(parent)
+            end = vertex(end, v, label + "1")
+            if not text.startswith(")", end):
+                raise ValueError(f"node at position {pos} has more than two "
+                                 f"children or is unclosed")
+            masks[v] = masks[v + 1] | masks[right[v]]
+            return end + 1
+
+        pos = vertex(0, -1, "")
         if pos != len(text):
             tail = text[pos:]   # echoed whole only when short: the input may be huge
             shown = (repr(tail) if len(tail) <= 20
@@ -123,14 +116,6 @@ class Tree:
         self.right = tuple(right)
         self.labels = tuple(labels)
         self.leaves = tuple(leaves)
-        self._leaf_no = {v: i + 1 for i, v in enumerate(leaves)}
-
-        masks = [0] * len(parent)
-        for v in range(len(parent) - 1, -1, -1):
-            if left[v] < 0:
-                masks[v] = 1 << (self._leaf_no[v] - 1)
-            else:
-                masks[v] = masks[left[v]] | masks[right[v]]
         self.desc_masks = tuple(masks)
         self.text = text
 
@@ -153,7 +138,7 @@ class Tree:
 
     def leaf_number(self, v: int) -> int:
         """1-based leaf number of a leaf vertex, 0 for internal vertices."""
-        return self._leaf_no.get(v, 0)
+        return self.desc_masks[v].bit_length() if self.left[v] < 0 else 0
 
     def node_label(self, v: int) -> str:
         """Path label of vertex v as reports print it, "r" for the root."""
@@ -165,24 +150,6 @@ class Tree:
 
     def anti_mask(self, v: int) -> int:
         return self.full_mask ^ self.desc_masks[v]
-
-    # -- derived trees ------------------------------------------------
-
-    def mirror(self) -> "Tree":
-        """The plane reflection: left/right swapped at every node."""
-        return Tree(self.text[::-1].translate(str.maketrans("()", ")(")))
-
-    def shape_key(self) -> str:
-        """Canonical string of the underlying unordered shape.
-
-        At every node the two child strings are concatenated in
-        lexicographic order; equal keys mean isomorphic shapes.
-        """
-        key = ["."] * self.size
-        for v in reversed(self.internal):
-            a, b = key[self.left[v]], key[self.right[v]]
-            key[v] = "(" + a + b + ")" if a <= b else "(" + b + a + ")"
-        return key[0]
 
     # -- dunder -------------------------------------------------------
 
@@ -360,6 +327,13 @@ def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:
     return tuple(int(x) for x in vec)
 
 
+def integral(x, what: str) -> int:
+    """x as an int if it is an integral real, by weight_vector's rule; else a ValueError."""
+    if not (isinstance(x, numbers.Real) and x % 1 == 0):
+        raise ValueError(f"{what} must be an integer")
+    return int(x)
+
+
 # ---------------------------------------------------------------------------
 # permutations of the leaf set
 
@@ -389,8 +363,7 @@ class Permutation:
         if s in ("id", "identity", ""):
             return cls.identity(n)
         if "," in s or "-" in s or " " in s:
-            parts = s.replace("-", ",").replace(" ", ",").split(",")
-            entries = [p for p in parts if p]
+            entries = [p for p in s.replace("-", ",").replace(" ", ",").split(",") if p]
         else:
             entries = list(s)
         perm = cls(entries)
@@ -401,18 +374,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, p in enumerate(self.perm):
-            inv[p - 1] = i + 1
-        return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: entry x of the result is self.perm[other.perm[x - 1] - 1]."""
-        if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(self.perm[other.perm[i] - 1] for i in range(self.n))
 
     def pullback(self, mask: int) -> int:
         """Preimage bitmask: leaf l is in the result iff perm[l - 1] is in mask."""

@@ -2,7 +2,8 @@
 oracles (the doad sets listed vertex by vertex, breadth-first union
 searches over them, a weighted union relaxation, a greedy witness search
 and a branch and bound over the integer program's candidate sets) that
-the production code is checked against."""
+the production code is checked against, and the tree mirror, shape key
+and permutation algebra that the symmetry tests read."""
 
 from __future__ import annotations
 
@@ -183,6 +184,31 @@ def min_cover_bnb(cands: tuple, target: int):
 
     rec(target, 0)
     return best, tuple(best_sol)
+
+
+def mirror(t: Tree) -> Tree:
+    """The plane reflection of t: left and right swapped at every node."""
+    return Tree(t.text[::-1].translate(str.maketrans("()", ")(")))
+
+
+def shape_key(t: Tree) -> str:
+    """Canonical string of t's unordered shape: at every node the two child
+    strings in lexicographic order, so equal keys mean isomorphic shapes."""
+    key = ["."] * t.size
+    for v in reversed(t.internal):
+        a, b = sorted((key[t.left[v]], key[t.right[v]]))
+        key[v] = "(" + a + b + ")"
+    return key[0]
+
+
+def inverse(p: Permutation) -> Permutation:
+    position = {x: i for i, x in enumerate(p.perm, 1)}
+    return Permutation(position[x] for x in range(1, p.n + 1))
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """p after q: entry x of the result is p.perm[q.perm[x - 1] - 1]."""
+    return Permutation(p.perm[x - 1] for x in q.perm)
 
 
 def random_tree(rng, n: int) -> Tree:

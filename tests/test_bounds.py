@@ -11,6 +11,7 @@ from conftest import (
     bfs_cover_table,
     brute_cover_table,
     doad_sets,
+    mirror,
     random_tree,
 )
 from tnexp.bounds import (
@@ -248,7 +249,7 @@ def test_mirror_duality_of_height_bound():
     # mirroring reverses the leaf order and swaps the two height profiles,
     # so the certified value is unchanged
     for t in enumerate_plane_trees(7):
-        assert height_bound_tt(t.mirror()).value == height_bound_tt(t).value
+        assert height_bound_tt(mirror(t)).value == height_bound_tt(t).value
 
 
 # ---------------------------------------------------------------------------

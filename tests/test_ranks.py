@@ -129,6 +129,35 @@ def test_spec_validation():
         sample_tensor(big, 0)
 
 
+def test_spec_scale_must_be_integral():
+    tt4 = build_tt(4)
+    for r in (2, 2.0, np.int8(2)):
+        spec = NetworkSpec.create(tt4, r=r)
+        assert spec.r == 2 and type(spec.r) is int
+    for bad in (2.5, float("inf"), "2"):
+        with pytest.raises(ValueError, match="scale r must be an integer"):
+            NetworkSpec.create(tt4, r=bad)
+
+
+def test_spec_leaf_dims_must_be_integral():
+    tt4 = build_tt(4)
+    for dims in (2, 2.0, np.int64(2), (2, 2.0, np.int8(2), 2)):
+        assert NetworkSpec.create(tt4, leaf_dims=dims).leaf_dims == (2, 2, 2, 2)
+    for bad in ((2.5, 2, 2, 2), 2.5, float("nan")):
+        with pytest.raises(ValueError, match="leaf dimension must be an integer"):
+            NetworkSpec.create(tt4, leaf_dims=bad)
+
+
+def test_profile_exponent_must_be_integral():
+    tensor = sample_tensor(NetworkSpec.create(build_tt(4), r=2), 0)
+    want = rank_profile(tensor, build_ht(2), exponent=2)
+    assert rank_profile(tensor, build_ht(2), exponent=np.int32(2)) == want
+    assert rank_profile(tensor, build_ht(2), exponent=2.0) == want
+    for bad in (1.5, float("inf")):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            rank_profile(tensor, build_ht(2), exponent=bad)
+
+
 def test_flattening_rejects_trivial_splits():
     spec = NetworkSpec.create(build_ht(2), leaf_dims=2, f=1, r=2)
     t = sample_tensor(spec, 0)
@@ -370,10 +399,10 @@ def test_flattening_rank_falls_back_when_the_sub_block_is_deficient(monkeypatch)
         rank = flattening_rank(tensor, mask)
         assert rank == _reference_rank(flat) <= 2
         if rank < ranks._cut_bound(tensor, mask):
-            assert len(shapes) == 2 and shapes[-1] == flat.shape
+            assert len(shapes) == 3 and shapes[-2] == flat.shape == shapes[-1][::-1]
             fell_back += 1
         else:
-            assert len(shapes) == 1
+            assert len(shapes) == 2
     assert fell_back > 40
 
 

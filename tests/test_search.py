@@ -216,6 +216,16 @@ def test_search_sampled_permutations():
     assert res.digest("cover") == again.digest("cover")
 
 
+def test_sample_perms_must_be_integral():
+    # read like weight_vector's entries: a fraction is an error, not 2 permutations
+    want = run_search(5, sample_perms=2, seed=0)
+    for count in (2.0, np.int16(2)):
+        assert run_search(5, sample_perms=count, seed=0).perms == want.perms
+    for bad in (2.5, float("nan"), "2"):
+        with pytest.raises(ValueError, match="sample_perms must be an integer"):
+            run_search(5, sample_perms=bad)
+
+
 @pytest.mark.parametrize("n,count", [(5, 100), (8, 40319)])
 def test_sample_perms_above_half_leaves_out_the_rest(n, count):
     rows = [tuple(r) for r in _sample_perms(n, count, seed=0).tolist()]

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from conftest import EX_LABEL, doad_sets, wedderburn_etherington
+from conftest import (EX_LABEL, compose, doad_sets, inverse, mirror, shape_key,
+                      wedderburn_etherington)
 from tnexp.trees import (
     Permutation,
     build_ht,
@@ -92,13 +95,13 @@ def test_mirror_and_shape_key():
     shapes = {t.text for n in range(2, 8) for t in enumerate_shapes(n)}
     for n in range(2, 8):
         for t in enumerate_plane_trees(n):
-            m = t.mirror()
-            assert m.mirror() == t
+            m = mirror(t)
+            assert mirror(m) == t
             assert [m.labels[v] for v in m.leaves] == [
                 t.labels[v].translate(str.maketrans("01", "10")) for v in reversed(t.leaves)]
-            assert t.shape_key() == m.shape_key() and t.shape_key() in shapes
+            assert shape_key(t) == shape_key(m) and shape_key(t) in shapes
     for t in enumerate_shapes(7):
-        assert t.shape_key() == t.text
+        assert shape_key(t) == t.text
 
 
 def test_structure_invariants():
@@ -161,8 +164,8 @@ def test_shapes_are_canonical_and_sorted():
         assert texts == sorted(texts)
         assert len(set(texts)) == len(texts)
         for t in shapes:
-            assert t.shape_key() == t.text
-            assert t.mirror().shape_key() == t.text
+            assert shape_key(t) == t.text
+            assert shape_key(mirror(t)) == t.text
 
 
 def test_shapes_n4():
@@ -280,7 +283,7 @@ def test_heights_tt():
 def test_mirror_swaps_heights():
     for t in enumerate_plane_trees(6):
         h, hs = heights(t)
-        mh, mhs = heights(t.mirror())
+        mh, mhs = heights(mirror(t))
         assert mh == tuple(reversed(hs))
         assert mhs == tuple(reversed(h))
 
@@ -360,8 +363,8 @@ def test_permutation_entries_must_be_integral():
 def test_permutation_algebra():
     p = Permutation([2, 3, 1])
     assert p.perm[0] == 2
-    assert p.inverse().compose(p) == Permutation.identity(3)
-    assert p.compose(p.inverse()) == Permutation.identity(3)
+    assert compose(inverse(p), p) == Permutation.identity(3)
+    assert compose(p, inverse(p)) == Permutation.identity(3)
 
 
 def test_pullback():
@@ -386,3 +389,56 @@ def test_mask_from_leaves_rejects_leaves_outside_the_cap():
     for leaf in (0, -1, 33, 40):
         with pytest.raises(ValueError, match=f"leaf {leaf} is outside 1..32"):
             mask_from_leaves([2, leaf])
+
+
+# ---------------------------------------------------------------------------
+# parser pins: sha256 over the structure of 2,556 trees and over the parse
+# outcome of every short string, so a rewrite of the parser keeps both
+
+def _structure(t) -> str:
+    return repr((t.text, t.n, t.parent, t.left, t.right, t.labels, t.leaves, t.desc_masks,
+                 tuple(t.leaf_number(v) for v in range(t.size)), t.internal))
+
+
+def _pinned_trees():
+    """The one-leaf tree, every plane tree on 2..9 leaves and 500 seeded
+    random trees on 10..32 leaves."""
+    rng = random.Random(25)
+
+    def text(k: int) -> str:
+        if k == 1:
+            return "."
+        a = rng.randint(1, k - 1)
+        return "(" + text(a) + text(k - a) + ")"
+
+    yield parse_tree(".")
+    for n in range(2, 10):
+        yield from enumerate_plane_trees(n)
+    for _ in range(500):
+        yield parse_tree(text(rng.randint(10, 32)))
+
+
+def test_tree_structure_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for t in _pinned_trees():
+        digest.update(_structure(t).encode() + b"\n")
+        count += 1
+    assert count == 2556
+    assert digest.hexdigest() == "6f2aa9816f4a32e99a2d6cd59e23232f2fab88a626f3a47ef0a7bd1ed49426f2"
+
+
+def test_parse_outcomes_are_pinned():
+    # the arrays or the error text of every string of length <= 8 over "(.)x"
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(9):
+        for chars in itertools.product("(.)x", repeat=k):
+            try:
+                outcome = _structure(parse_tree("".join(chars)))
+            except ValueError as exc:
+                outcome = f"error: {exc}"
+            digest.update(outcome.encode() + b"\n")
+            count += 1
+    assert count == 87381
+    assert digest.hexdigest() == "e9b0188e7bd86458a4c815e4b0360be90397cbc819042dc3e630a442a5072b15"
