@@ -24,8 +24,13 @@ mod N (the stride is a prime above AMBIENT_CAP, so the lines are
 distinct, and unlike evenly spaced lines they do not alias with the
 power-of-two mixed-radix index).  rank(sub) <= rank <= u, so a sub-block
 of rank u certifies the rank exactly, and only a deficient one leads to
-ranking the whole flattening.  That is the one certificate; `mat_rank`
-itself is plain modular Gaussian elimination.  No probability
+ranking the whole flattening.  That is the one certificate.  `mat_rank`
+eliminates in panels of 32 columns: each pivot updates only its panel,
+and the block right of the panel takes one update by `_matmul_mod` per
+panel, so it is reduced mod p once per panel, not once per pivot.
+`_matmul_mod` is a float64 matrix product that stays exact, since it
+splits entries into 15- and 16-bit halves and contracts in chunks of 64,
+keeping every partial sum an integer below 2**53.  No probability
 enters any answer; the choice of lines only decides how often the
 fallback runs.  Comparing the observed ranks at the nodes of a second
 (probe) tree against r**c * f'(node) gives a one-sided empirical check
@@ -66,30 +71,58 @@ PRIME = 2 ** 31 - 1
 AMBIENT_CAP = 1 << 22       # total tensor entries
 BASIS_CAP = 1 << 28         # entries of the largest matrix one vertex builds
 TRIALS_CAP = 1 << 12        # trials per run: verify-ranks keeps one profile per trial
-_MATMUL_SPLIT = 1 << 16     # contraction length cap for the split trick
+_PANEL = 32                 # columns per panel of mat_rank
+_DOT_CHUNK = 64             # terms per float64 partial sum of _matmul_mod
+_OUT_BLOCK = 1 << 16        # output entries per column block of _matmul_mod
 
 
 # ---------------------------------------------------------------------------
 # modular linear algebra
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a @ b) mod PRIME without int64 overflow.
+    """(a @ b) mod PRIME for entries in 0..PRIME-1, exact through a float64 GEMM.
 
-    Splits a into high/low 16-bit halves so every partial dot product of
-    length up to 2**16 stays below 2**63.
+    a = hi * 2**16 + lo with hi < 2**15 and lo < 2**16, so a @ b is
+    [hi lo] @ [2**16 * b mod PRIME; b] modulo PRIME.  That contraction
+    goes in chunks of _DOT_CHUNK terms, so every partial sum is an
+    integer below 64 * (2**16 - 1) * (2**31 - 2) < 2**53: exact in
+    float64 in any BLAS summation order.  Output columns go in blocks of
+    about _OUT_BLOCK entries, and every temporary but the split of a holds
+    one block, so none is as large as a product of many blocks.
     """
-    if a.shape[-1] > _MATMUL_SPLIT:
-        raise ValueError("contraction dimension too large for modular matmul")
-    hi, lo = a >> 16, a & 0xFFFF
-    return ((hi @ b % PRIME) * (1 << 16) + lo @ b) % PRIME
+    rows, inner = a.shape
+    split = np.empty((rows, inner, 2))      # hi and lo of each entry side by side
+    np.right_shift(a, 16, out=split[..., 0], casting="unsafe")
+    np.bitwise_and(a, 0xFFFF, out=split[..., 1], casting="unsafe")
+    split = split.reshape(rows, 2 * inner)
+    out = np.zeros((rows, b.shape[1]), dtype=np.int64)
+    width = max(1, _OUT_BLOCK // max(rows, 2 * inner))
+    for j in range(0, b.shape[1], width):
+        block = b[:, j:j + width]
+        pair = np.empty((inner, 2, block.shape[1]))
+        pair[:, 0] = (block << 16) % PRIME
+        pair[:, 1] = block
+        pair = pair.reshape(2 * inner, -1)
+        acc = out[:, j:j + width]
+        for i in range(0, 2 * inner, _DOT_CHUNK):
+            part = (split[:, i:i + _DOT_CHUNK] @ pair[i:i + _DOT_CHUNK]).astype(np.int64)
+            part %= PRIME
+            acc += part
+        if 2 * inner > _DOT_CHUNK:
+            acc %= PRIME
+    return out
 
 
 def mat_rank(a: np.ndarray) -> int:
-    """Exact rank of an integer matrix over the field mod PRIME, by elimination.
+    """Exact rank of an integer matrix over the field mod PRIME, by panel elimination.
 
-    Column pivots; each step updates only the trailing block below and
-    right of its pivot, with multipliers that carry the pivot inverse, so
-    no row is normalised and entries left of the current column go stale.
+    Columns go in panels of _PANEL.  Inside a panel each pivot row,
+    scaled by the pivot inverse, is subtracted from the rows below on the
+    panel's columns only; the multiples subtracted stay in place in the
+    pivot columns (L).  After the panel the pivot rows' part right of it
+    is forward-substituted through L D^-1 (D the pivots) to U, and the
+    block below takes one update A22 - L21 D^-1 U (mod PRIME) by
+    `_matmul_mod`, so it is reduced once per panel, not once per pivot.
     Stops once every row holds a pivot or the remaining block is zero.
     """
     m = np.asarray(a, dtype=np.int64)
@@ -99,23 +132,46 @@ def mat_rank(a: np.ndarray) -> int:
     rows, cols = m.shape
     r = c = 0
     while r < rows and c < cols:
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
-            live = np.flatnonzero(m[r:, c:].any(axis=0))
-            if live.size == 0:
-                break
-            c += int(live[0])
-            continue
-        if nz[0]:
-            p = r + int(nz[0])
-            m[[r, p], c:] = m[[p, r], c:]
-        inv = pow(int(m[r, c]), -1, PRIME)
-        mult = m[r + 1:, c] * inv % PRIME
-        block = m[r + 1:, c + 1:]
-        block -= np.outer(mult, m[r, c + 1:])
-        block %= PRIME
-        r += 1
-        c += 1
+        top, end, piv, invs = r, min(c + _PANEL, cols), [], []
+        while r < rows and c < end:
+            if not m[r, c]:
+                nz = np.flatnonzero(m[r:, c])
+                if nz.size == 0:
+                    # before the panel's first pivot every column right of c is current
+                    live = np.flatnonzero(m[r:, c:end if piv else cols].any(axis=0))
+                    if live.size == 0:
+                        if not piv:
+                            return r
+                        break
+                    c += int(live[0])
+                    if not piv:
+                        end = min(c + _PANEL, cols)
+                    continue
+                p = r + int(nz[0])
+                first = piv[0] if piv else c
+                m[[r, p], first:] = m[[p, r], first:]
+            inv = pow(int(m[r, c]), -1, PRIME)
+            if r + 1 < rows and c + 1 < end:
+                row = m[r, c + 1:end] * inv % PRIME
+                block = m[r + 1:, c + 1:end]
+                block -= m[r + 1:, c, None] * row
+                block %= PRIME
+            piv.append(c)
+            invs.append(inv)
+            r += 1
+            c += 1
+        if r < rows and end < cols:
+            k = r - top
+            lower = m[top:, piv] * np.array(invs)     # L, times the pivot inverses
+            lower %= PRIME
+            u = m[top:r, end:]
+            for j in range(k - 1):
+                u[j + 1:] -= lower[j + 1:k, j, None] * u[j]
+                u[j + 1:] %= PRIME
+            trail = m[r:, end:]
+            trail -= _matmul_mod(lower[k:], u)
+            trail %= PRIME
+        c = end
     return r
 
 

@@ -1,9 +1,10 @@
 """Shared fixtures: figure trees used across the suite, plus independent
 oracles (the doad sets listed vertex by vertex, breadth-first union
-searches over them, a weighted union relaxation, a greedy witness search
-and a branch and bound over the integer program's candidate sets) that
-the production code is checked against, and the tree mirror, shape key
-and permutation algebra that the symmetry tests read."""
+searches over them, a weighted union relaxation, a greedy witness search,
+a branch and bound over the integer program's candidate sets and an
+integer modular product) that the production code is checked against,
+and the tree mirror, shape key and permutation algebra that the symmetry
+tests read."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import itertools
 import numpy as np
 
 from tnexp.ilp import _greedy_cover
+from tnexp.ranks import PRIME
 from tnexp.trees import Permutation, Tree
 
 # six-leaf tree whose leaf heights are (0, 1, 0, 1, 2, 0)
@@ -184,6 +186,20 @@ def min_cover_bnb(cands: tuple, target: int):
 
     rec(target, 0)
     return best, tuple(best_sol)
+
+
+def int_matmul_mod(a, b) -> np.ndarray:
+    """(a @ b) mod PRIME in int64 arithmetic, for entries in 0..PRIME-1: the
+    oracle for ranks._matmul_mod.
+
+    a splits into high and low 16-bit halves, so every partial sum of a
+    contraction up to 2**16 long stays below 2**63.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if a.shape[-1] > 1 << 16:
+        raise ValueError("contraction too long for the int64 split product")
+    hi, lo = a >> 16, a & 0xFFFF
+    return ((hi @ b % PRIME) * (1 << 16) + lo @ b) % PRIME
 
 
 def mirror(t: Tree) -> Tree:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import EIGHT_LEAVES
+from conftest import EIGHT_LEAVES, int_matmul_mod
 from tnexp import ranks
 from tnexp.bounds import poset_bound
 from tnexp.covers import cover_exponent
@@ -295,7 +295,7 @@ def _reference_rank(a) -> int:
 def _low_rank(rng, rows, cols, rank):
     a = rng.integers(0, PRIME, size=(rows, rank), dtype=np.int64)
     b = rng.integers(0, PRIME, size=(rank, cols), dtype=np.int64)
-    return ranks._matmul_mod(a, b)
+    return int_matmul_mod(a, b)
 
 
 def test_mat_rank_skinny_products_both_orientations():
@@ -326,6 +326,56 @@ def test_mat_rank_edge_inputs():
     assert mat_rank(odd) == mat_rank(odd.T) == 4
     with pytest.raises(ValueError):
         mat_rank(np.zeros(4, dtype=np.int64))
+
+
+def test_mat_rank_across_panel_boundaries():
+    # shapes around the panel width, in both orientations: rank reached
+    # mid-panel, pivot-less columns (a whole panel of them) before and
+    # between pivots, zero rows and entries congruent mod PRIME
+    rng = np.random.default_rng(17)
+    sizes = (1, 31, 32, 33, 64, 65, 257)
+    for rows in sizes:
+        for cols in sizes:
+            small = min(rows, cols)
+            for rank in sorted({0, 1, small // 2, small - 1, small, min(small, 40)}):
+                m = _low_rank(rng, rows, cols, rank)
+                cases = [m]
+                if cols > 33:
+                    gap = m.copy()
+                    gap[:, :32] = 0                 # a whole pivot-less panel first
+                    gap[:, 40:45] = 0
+                    cases.append(gap)
+                if rows > 2:
+                    holes = m.copy()
+                    holes[::3] = 0
+                    cases.append(holes)
+                for mat in cases:
+                    want = _reference_rank(mat)
+                    for same in (mat, mat.T, mat - PRIME, (mat + 2 * PRIME).T):
+                        assert mat_rank(same) == want, (rows, cols, rank)
+
+
+def test_matmul_mod_is_exact_at_the_float_limit():
+    # every entry PRIME - 1 makes every partial sum as large as it can be
+    # (rows past half the block size leave one column per block)
+    top = PRIME - 1
+    for inner in (1, 63, 64, 65, 128, 1000):
+        for rows in (1, 3, 300) + ((ranks._OUT_BLOCK // 2 + 1,) if inner <= 65 else ()):
+            width = max(1, ranks._OUT_BLOCK // max(rows, 2 * inner))
+            for cols in (1, width, 2 * width + 1):
+                got = ranks._matmul_mod(np.full((rows, inner), top, dtype=np.int64),
+                                        np.full((inner, cols), top, dtype=np.int64))
+                assert got.shape == (rows, cols) and (got == inner * top * top % PRIME).all()
+    rng = np.random.default_rng(19)
+    for rows, inner, cols in ((1, 1000, 1), (5, 65, 9), (9, 128, 5), (40, 64, 3000),
+                              (3000, 63, 30), (2, 2, 70000)):
+        a = rng.integers(0, PRIME, size=(rows, inner), dtype=np.int64)
+        b = rng.integers(0, PRIME, size=(inner, cols), dtype=np.int64)
+        want = np.array([[sum(int(x) * int(y) for x, y in zip(row, col)) % PRIME
+                          for col in b.T[:4]] for row in a[:4]])
+        got = ranks._matmul_mod(a, b)
+        assert np.array_equal(got[:4, :4], want)
+        assert np.array_equal(got, int_matmul_mod(a, b))
 
 
 def test_mat_rank_every_flattening_of_small_networks():
@@ -424,10 +474,10 @@ def _kron_sample(spec, seed):
             amb = bl.shape[0] * br.shape[0]
             k = min(spec.r * spec.f[v], amb)
             coeff, _ = ranks._random_full_rank(rng, k, amb)
-            bases[v] = ranks._matmul_mod(coeff, np.kron(bl, br) % PRIME)
+            bases[v] = int_matmul_mod(coeff, np.kron(bl, br) % PRIME)
         dims[v] = k
     vec, _ = ranks._random_full_rank(rng, 1, dims[t.root])
-    return ranks._matmul_mod(vec, bases.pop(t.root))[0]
+    return int_matmul_mod(vec, bases.pop(t.root))[0]
 
 
 def test_sampling_matches_kronecker_reference():
