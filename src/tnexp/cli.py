@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import bounds as bounds_mod
 from . import covers, ilp, ranks, search
@@ -35,12 +36,42 @@ def _tree_arg(text: str) -> Tree:
     return parse_tree(s)
 
 
+def _json_text(value, indent: int, pad: str = "\n") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=indent).
+
+    json's indented encoder is pure Python, one generator step per value.
+    Here a list of only ints or only strings is one join of their C-level
+    texts; every other scalar, and every key that is not a string, is
+    written by json itself.
+    """
+    inner = pad + " " * indent
+    if isinstance(value, dict):
+        # json's text of a non-str key, quoted, is '"<key>"' in '{"<key>": 0}'
+        texts = ((encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+                 + ": " + _json_text(v, indent, inner) for k, v in sorted(value.items()))
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            texts = map(int.__repr__, value)
+        elif kinds == {str}:
+            texts = map(encode_basestring_ascii, value)
+        else:
+            texts = (_json_text(v, indent, inner) for v in value)
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
+
+
 def _emit(payload: dict, table: bool, table_lines) -> None:
     if table:
         for line in table_lines(payload):
             print(line)
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +222,7 @@ def _cmd_verify_ranks(args) -> int:
     }
     if args.json:
         with open(args.json, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+            fh.write(_json_text(payload, 1) + "\n")
 
     def lines(p):
         out = [f"exponent {p['exponent']}  trials {p['trials']}  ok {p['ok']}"]

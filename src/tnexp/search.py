@@ -17,14 +17,18 @@ equals cover by the covers docstring's theorem, so each distinct side
 is evaluated once for all its kinds.
 
 Every value is at least 1, so each lookup table is floored at 1 up
-front, and a side's tables are one (shapes, entries) array.  The loop
-runs over target shapes T': one float64 product of its nodes' leaf
-membership with the permutations' leaf bits gives the index columns,
-one gather takes them from every shape's row, and the max over the
-columns is the target's column of the result (every sum stays below
-2^n, exact).  While 4^n <= PAIR_TABLE_CAP, i.e. n <= 9, an index covers
-two T' nodes: a shape's pair table holds max(t[a], t[b]) at a << n | b,
-and two pulled-back columns a, b form that index after the product.
+front.  A side's tables are stored entry-major: row e holds every
+shape's value at entry e, padded with zeros to whole 8-byte words (24
+bytes for the 23 shapes of n = 8), so one gathered row reads every
+source shape at once.  The loop runs over target shapes T': one float64
+product of its nodes' leaf membership with the permutations' leaf bits
+gives the (columns, P) indices, one gather of whole rows gives
+(columns, P, width) bytes, and their max over the columns, cut to the
+shapes and transposed, is the target's column of the result.  While
+4^n <= PAIR_TABLE_CAP, i.e. n <= 9, an index covers two T' nodes: entry
+a << n | b holds max(t[a], t[b]), and the product forms that index
+itself by weighting the two nodes' membership rows 2^n and 1 (every sum
+stays below 2^(2n) <= 2^18, so it is exact).
 
 Results are one uint8 array of shape (shapes, shapes, perms) per side,
 permutations in lexicographic order, so the outputs are deterministic.
@@ -135,15 +139,21 @@ def _leaf_bits(perms: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _pullback_columns(leaf_bits: np.ndarray, masks) -> np.ndarray:
-    """(len(masks), P) intp: pulled-back mask of each requested mask.
+def _pullback_columns(leaf_bits: np.ndarray, masks, group: int = 1) -> np.ndarray:
+    """(len(masks) // group, P) intp: pulled-back masks, `group` per index.
 
     out[k, p] has leaf l set iff perms[p, l] is a leaf of masks[k], as in
     Permutation.pullback: one product of the masks' 0/1 leaf-membership
-    matrix with `_leaf_bits`, exact in float64 since every sum is below 2^n.
+    matrix with `_leaf_bits`.  For group 2 the rows of masks 2k and 2k + 1
+    are weighted 2^n and 1 before the product, so out[k] is the pair index
+    a << n | b of their pullbacks a, b.  Every sum is below 2^(group n) <= 2^18,
+    so the float64 product is exact.
     """
-    member = np.asarray(masks, dtype=np.intp)[:, None] >> np.arange(len(leaf_bits)) & 1
-    return (member.astype(np.float64) @ leaf_bits).astype(np.intp)
+    n = len(leaf_bits)
+    member = np.asarray(masks, dtype=np.intp)[:, None] >> np.arange(n) & 1
+    weights = 2.0 ** (n * np.arange(group - 1, -1, -1))
+    member = (member.reshape(-1, group, n) * weights[:, None]).sum(axis=1)
+    return (member @ leaf_bits).astype(np.intp)
 
 
 def _lex_perms(n: int) -> np.ndarray:
@@ -162,12 +172,21 @@ def _lex_perms(n: int) -> np.ndarray:
 
 
 def _lookup_tables(tables: np.ndarray, group: int) -> np.ndarray:
-    """(S, 2^(group n)) uint8 from (S, 2^n) tables, every entry floored at 1.
-    For group 2 entry a << n | b holds max(t[a], t[b], 1): one pair table per shape."""
-    floored = np.maximum(tables, 1)   # a leaf of T' needs one singleton
+    """(2^(group n), W / 8) uint64 from (S, 2^n) tables, every entry floored at 1.
+
+    Entry-major: row e holds every shape's value at entry e in its first S
+    bytes, padded with zeros to W = 8 ceil(S / 8) bytes, so one gathered
+    row reads all shapes.  For group 2 entry a << n | b holds
+    max(t[a], t[b], 1): one pair table per shape.
+    """
+    shapes, entries = tables.shape
+    floored = np.maximum(tables.T, 1)   # a leaf of T' needs one singleton
+    rows = np.zeros((entries,) * group + (-(-shapes // 8) * 8,), dtype=np.uint8)
     if group == 1:
-        return floored
-    return np.maximum(floored[:, :, None], floored[:, None, :]).reshape(len(tables), -1)
+        rows[:, :shapes] = floored
+    else:
+        np.maximum(floored[:, None], floored[None, :], out=rows[..., :shapes])
+    return rows.reshape(entries ** group, -1).view(np.uint64)
 
 
 def _sample_perms(n: int, count: int, seed: int) -> np.ndarray:
@@ -236,13 +255,12 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
     for j, target in enumerate(shapes):
         # the n - 2 non-root internal sets, padded to pairs by mask 0 (floored entry 1)
         masks = [target.desc_masks[w] for w in target.internal if w != target.root]
-        idx = _pullback_columns(leaf_bits, masks + [0] * (len(masks) % group))
-        if group == 2:
-            idx = idx[0::2] << n | idx[1::2]
-        for side, side_tables in tables.items():
-            # (S, columns, P) gather, reduced over T' nodes into column j; indices
-            # are in range, so "wrap" only skips take's buffered bounds check
-            side_tables.take(idx, axis=1, mode="wrap").max(axis=1, out=arrays[side][:, j])
+        idx = _pullback_columns(leaf_bits, masks + [0] * (len(masks) % group), group)
+        for side, rows in tables.items():
+            # (columns, P, W) gather of whole rows, reduced over T' nodes to (P, W);
+            # indices are in range, so "clip" only skips take's bounds check
+            best = rows.take(idx, axis=0, mode="clip").view(np.uint8).max(axis=0)
+            arrays[side][:, j] = best[:, :len(shapes)].T
 
     return SearchResult(n=n, shapes=tuple(t.text for t in shapes),
                         perm_array=perms, sampled=sampled,

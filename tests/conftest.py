@@ -3,18 +3,30 @@ oracles (the doad sets listed vertex by vertex, breadth-first union
 searches over them, a weighted union relaxation, a greedy witness search,
 a branch and bound over the integer program's candidate sets and an
 integer modular product) that the production code is checked against,
-and the tree mirror, shape key and permutation algebra that the symmetry
-tests read."""
+the tree mirror, shape key and permutation algebra that the symmetry
+tests read, and the environment of child processes that import tnexp."""
 
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 
 from tnexp.ilp import _greedy_cover
 from tnexp.ranks import PRIME
 from tnexp.trees import Permutation, Tree
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """os.environ with src/ first on PYTHONPATH, so a child `python` imports
+    this checkout's tnexp whether or not the package is installed."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
 
 # six-leaf tree whose leaf heights are (0, 1, 0, 1, 2, 0)
 EX_LABEL = "((.(..))(.(..)))"

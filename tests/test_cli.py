@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import random
 import re
 import resource
@@ -10,13 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_tree
-from tnexp import bounds, covers, search
+from conftest import child_env, random_tree
+from tnexp import bounds, cli, covers, search
 from tnexp.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD_AS_LIMIT = 3 << 29       # 1.5 GiB address space for each child
 
 
@@ -218,6 +218,8 @@ def test_verify_ranks_seed_reproducible(capsys, tmp_path):
         run_json(capsys, "verify-ranks", "--tree", "ht:2", "--probe", "tt:4",
                  "--trials", "2", "--seed", "9", "--json", str(path))
     assert a.read_bytes() == b.read_bytes()
+    text = a.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
 
 
 def test_check_reference(capsys, tmp_path):
@@ -345,11 +347,6 @@ def test_verify_ranks_bad_input_exits_2(capsys):
 
 
 CHILD_CLI = [sys.executable, "-c", "import sys; from tnexp.cli import main; sys.exit(main())"]
-
-
-def child_env():
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
 
 
 def run_capped(*argv, limit=CHILD_AS_LIMIT, timeout=60):
@@ -545,6 +542,22 @@ def test_table_output(capsys):
     code, out, _ = run_cli(capsys, "exponent", "ht:2", "tt:4", "--table")
     assert code == 0
     assert "cover_bound : 1" in out
+
+
+# every JSON scalar, with text that needs escapes and ints past 64 bits
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.integers(-(1 << 80), 1 << 80), st.floats(), st.text())
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple),
+    st.lists(st.integers()), st.lists(st.text()),   # the joined lists
+    st.dictionaries(st.text(), inner), st.dictionaries(st.integers(), inner),
+    st.dictionaries(st.floats(), inner)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES, st.integers(0, 3))
+def test_json_text_matches_json_dumps(value, indent):
+    assert cli._json_text(value, indent) == json.dumps(value, sort_keys=True, indent=indent)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import (
     bfs_cover_table,
     brute_cover_table,
     brute_product_table,
+    child_env,
     compose,
     doad_sets,
     greedy_witness,
@@ -118,7 +119,7 @@ def test_table_memory_is_bounded_by_blocks():
             "build_cover_table(t); "
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=120)
+                          env=child_env(), check=True, timeout=120)
     assert int(proc.stdout) < 32 * 1024   # KiB
 
 

@@ -38,6 +38,10 @@ def test_pullback_table_matches_scalar():
         for k, mask in enumerate(masks):
             pi = int(rng.integers(len(perms)))
             assert pb[k, pi] == Permutation(perms[pi]).pullback(mask)
+        # group 2 folds masks 2k and 2k + 1 into one pair index a << n | b
+        pairs = _pullback_columns(_leaf_bits(perms), masks, group=2)
+        assert pairs.shape == (100, len(perms))
+        assert np.array_equal(pairs, pb[0::2] << n | pb[1::2])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -89,7 +93,9 @@ def test_naive_matches_its_definition_on_every_small_instance():
 
 def test_search_matches_direct_evaluation():
     # n <= 9 reads pair tables (n = 9 has an odd node count, so its last
-    # column pairs with the empty mask); n = 10 reads one node per lookup
+    # column pairs with the empty mask); n = 10 reads one node per lookup.
+    # Rows are padded to whole words (46 shapes to 48 bytes at n = 9, 98 to
+    # 104 at n = 10), so these draws also show that no padding byte leaks.
     assert 4 ** 9 <= search.PAIR_TABLE_CAP < 4 ** 10
     for n, sample, seed, draws in ((5, None, 0, 60), (8, None, 0, 200),
                                    (9, 500, 1, 200), (10, 200, 2, 200)):
@@ -496,6 +502,10 @@ SEARCH_OUTPUT_PINS = [
     (8, "cover,poset,naive", None, 0,
      "79ba6cc4af71db090bdd562860b979e3353ab3043310ed388a110475762097c6",
      "c60b85677375e2b7227b5099191e5e87e25990fd2e03522ecfbf4d2e2ca22f46"),
+    # 46 shapes (rows of 48 bytes) read through pair tables
+    (9, "cover,poset,naive", 200, 2,
+     "2c0ada78e4b74de2b3b7d18c269c387ab0adb6958e933b3782422b5a61687bf6",
+     "8e5f1812c466711f16db8475941189ecefda08ffb5aca88f784533d4ed9e14f7"),
     (10, "cover,poset", 300, 4,
      "6bc99f979e1e2f7a79c431b2c8bb1f4d57ee418dc024b1b6c729745aed72b111",
      "6b13c89b7c03d3fdb466b00e2151e452625f13372ede5d2e0d71ecc564ac507a"),
