@@ -18,7 +18,7 @@ for n in (4, 5, 6):
     t0 = time.perf_counter()
     res = run_search(n, kinds=("cover", "poset"))
     dt = time.perf_counter() - t0
-    values = np.concatenate([res.values("cover", i, j)
+    values = np.concatenate([res.data["cover"][i, j]
                              for i in range(len(res.shapes))
                              for j in range(len(res.shapes))])
     hist = dict(zip(*[x.tolist() for x in np.unique(values, return_counts=True)]))
@@ -31,7 +31,7 @@ print("\nn=5 max cover bound over permutations, per shape pair:")
 for a, row in zip(res.shapes, maxs.tolist()):
     print(f"  {a:<14} {' '.join(map(str, row))}")
 print("identity instances are always 1:",
-      all(res.values("cover", i, i)[res.perms.index("12345")] == 1
+      all(res.data["cover"][i, i][res.perms.index("12345")] == 1
           for i in range(len(res.shapes))))
 
 out = tempfile.mkdtemp(prefix="tnexp-search-")

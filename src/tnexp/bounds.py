@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .covers import build_cover_table, cover_exponent
-from .trees import Permutation, Tree, build_tt, heights, leaves_of_mask
+from .trees import Permutation, Tree, build_tt, heights, integral, leaves_of_mask
 
 __all__ = [
     "BoundValue",
@@ -62,8 +62,7 @@ class BoundValue:
 
 def trivial_bound(n: int) -> BoundValue:
     """floor(n/2) is an exponent for any pair of trees on n leaves."""
-    if n < 2:
-        raise ValueError(f"need at least 2 leaves, got {n}")
+    n = integral(n, "leaf count", 2)
     return BoundValue(kind="trivial", value=n // 2,
                       note=f"cover the smaller side of every split by singletons (n={n})")
 

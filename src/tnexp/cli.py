@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import bounds as bounds_mod
 from . import covers, ilp, ranks, search
-from .trees import Permutation, Tree, build_ht, build_tt, enumerate_plane_trees, \
+from .trees import Permutation, Tree, _int_text, build_ht, build_tt, enumerate_plane_trees, \
     enumerate_shapes, heights, parse_tree
 
 __all__ = ["main"]
@@ -29,11 +29,8 @@ __all__ = ["main"]
 
 def _tree_arg(text: str) -> Tree:
     s = text.strip()
-    if s.lower().startswith("ht:"):
-        return build_ht(int(s[3:]))
-    if s.lower().startswith("tt:"):
-        return build_tt(int(s[3:]))
-    return parse_tree(s)
+    build = {"ht:": build_ht, "tt:": build_tt}.get(s[:3].lower())
+    return build(_int_text(s[3:], f"{s[:3]} size")) if build else parse_tree(s)
 
 
 def _json_text(value, indent: int, pad: str = "\n") -> str:

@@ -91,6 +91,7 @@ from .trees import (
     Permutation,
     Tree,
     instance_perm,
+    integral,
     leaves_of_mask,
     mask_lca,
     maximal_desc_vertices,
@@ -122,7 +123,7 @@ class CoverCounter:
 
     def __init__(self, tree: Tree, f=1):
         self.tree = t = tree
-        f = weight_vector(t, f)
+        f = weight_vector(f, t.size)
         full, dm = t.full_mask, t.desc_masks
         self._anti = [(f[v], 1, v, ((v, "anti", full ^ dm[v]),)) for v in range(t.size)]
         self._split = split = [(f[v], 1, v, ((v, "desc", dm[v]),)) for v in range(t.size)]
@@ -136,8 +137,7 @@ class CoverCounter:
         in preorder.  The full set answers its least partition into descendant sets."""
         t = self.tree
         full, dm, split, anti = t.full_mask, t.desc_masks, self._split, self._anti
-        if not 0 <= mask <= full:
-            raise ValueError("mask out of range for this tree")
+        mask = integral(mask, "mask", 0, full)
         parts = maximal_desc_vertices(t, mask)
         best = reduce(_join, [split[v] for v in parts], _EMPTY)
         x = mask_lca(t, (full ^ mask) or full)   # the full set stops at the root
@@ -328,7 +328,7 @@ def check_trivial_containment(t: Tree, f, t_prime: Tree, f_prime,
     anti-descendant side whose f-product does not exceed f' there.
     """
     perm = instance_perm(t, t_prime, perm)
-    fp = weight_vector(t_prime, f_prime)
+    fp = weight_vector(f_prime, t_prime.size)
     cover = CoverCounter(t, f).cover
     full = t.full_mask
 

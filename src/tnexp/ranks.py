@@ -44,7 +44,6 @@ draw (probability below dim/p) is resampled once and counted.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -212,16 +211,8 @@ class NetworkSpec:
 
     @classmethod
     def create(cls, tree: Tree, leaf_dims=2, f=1, r: int = 1) -> "NetworkSpec":
-        if isinstance(leaf_dims, numbers.Real):
-            leaf_dims = (leaf_dims,) * tree.n
-        leaf_dims = tuple(integral(d, "leaf dimension") for d in leaf_dims)
-        if len(leaf_dims) != tree.n or any(d < 1 for d in leaf_dims):
-            raise ValueError(f"need {tree.n} positive leaf dimensions")
-        f = weight_vector(tree, f, "dimension-vector")
-        r = integral(r, "scale r")
-        if r < 1:
-            raise ValueError("scale r must be >= 1")
-        return cls(tree=tree, leaf_dims=leaf_dims, f=f, r=r)
+        return cls(tree=tree, leaf_dims=weight_vector(leaf_dims, tree.n, "leaf dimension"),
+                   f=weight_vector(f, tree.size, "dimension-vector"), r=integral(r, "scale r", 1))
 
     @property
     def ambient_dim(self) -> int:
@@ -258,7 +249,7 @@ def sample_tensor(spec: NetworkSpec, seed: int) -> SampledTensor:
     many entries as either, so a spec over the cap would need a 2 GiB
     int64 array that way too.
     """
-    t = spec.tree
+    t, seed = spec.tree, integral(seed, "seed", 0)
     if spec.ambient_dim > AMBIENT_CAP:
         raise ValueError(
             f"total dimension {spec.ambient_dim} exceeds the cap {AMBIENT_CAP}")
@@ -334,8 +325,7 @@ def flattening_rank(tensor: SampledTensor, mask: int) -> int:
     last is ranked too, and a different rank raises RankMismatchError.
     """
     spec, full = tensor.spec, tensor.spec.tree.full_mask
-    if not 0 < mask < full:
-        raise ValueError("flattening needs a nonempty proper leaf subset")
+    mask = integral(mask, "flattening mask (a nonempty proper leaf subset)", 1, full - 1)
     u = _cut_bound(tensor, mask)
     strides = np.array([math.prod(spec.leaf_dims[i + 1:]) for i in range(spec.tree.n)])
     offsets = []
@@ -398,13 +388,9 @@ def rank_profile(tensor: SampledTensor, probe: Tree,
     """
     spec = tensor.spec
     t = spec.tree
-    if probe.n != t.n:
-        raise ValueError(f"probe has {probe.n} leaves, tensor has {t.n}")
-    exponent = integral(exponent, "exponent")
-    if not 0 <= exponent <= LEAF_CAP:
-        raise ValueError(f"exponent must be in 0..{LEAF_CAP}, got {exponent}")
+    exponent = integral(exponent, "exponent", 0, LEAF_CAP)
     perm = instance_perm(t, probe, perm)
-    fp = weight_vector(probe, f_prime, "probe dimension-vector")
+    fp = weight_vector(f_prime, probe.size, "probe dimension-vector")
 
     full = t.full_mask
     entries = []
@@ -440,8 +426,7 @@ def _needed_exponent(rank: int, r: int, f_val: int) -> int:
 
 def trial_seeds(seed: int, trials: int) -> list[int]:
     """Per-trial sampling seeds, all drawn from one master seed."""
-    if not 1 <= trials <= TRIALS_CAP:
-        raise ValueError(f"need 1..{TRIALS_CAP} trials, got {trials}")
+    trials, seed = integral(trials, "trials", 1, TRIALS_CAP), integral(seed, "seed", 0)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
 
 

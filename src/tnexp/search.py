@@ -101,9 +101,6 @@ class SearchResult:
         """One-line strings of `perm_array`'s rows (only the CSV needs them all)."""
         return tuple(map(perm_string, self.perm_array.tolist()))
 
-    def values(self, kind: str, i: int, j: int) -> np.ndarray:
-        return self.data[kind][i, j]
-
     def aggregate(self, kind: str) -> tuple:
         """(mins, maxs, counts) over the permutation axis, indexed by pair [i, j]:
         counts[i, j, v] is the number of permutations with value v."""
@@ -196,8 +193,6 @@ def _sample_perms(n: int, count: int, seed: int) -> np.ndarray:
     Above n!/2 it draws the n! - count permutations to leave out instead,
     so rejection sampling never pays the coupon-collector tail near n!.
     """
-    if count < 1:
-        raise ValueError(f"need at least one sampled permutation, got {count}")
     total = math.factorial(n)
     if count >= total:
         return _lex_perms(n)
@@ -218,9 +213,9 @@ def run_search(n: int, kinds=("cover",), sample_perms=None, seed: int = 0) -> Se
     Full permutation products are allowed for 4 <= n <= 8; beyond that a
     sampled permutation set must be requested (flagged in the result).
     """
-    sampled = sample_perms is not None
+    n, sampled = integral(n, "n"), sample_perms is not None
     if sampled:
-        sample_perms = integral(sample_perms, "sample_perms")
+        sample_perms, seed = integral(sample_perms, "sample_perms", 1), integral(seed, "seed", 0)
     if not sampled and not 4 <= n <= FULL_SEARCH_CAP:
         raise ValueError(
             f"full search supports 4..{FULL_SEARCH_CAP} leaves (got n={n}); "

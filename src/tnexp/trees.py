@@ -191,12 +191,8 @@ def parse_tree(text: str) -> Tree:
 
 def build_ht(k: int) -> Tree:
     """Perfect binary tree of depth k (2**k leaves, all at depth k)."""
-    if k < 1:
-        raise ValueError(f"hierarchical tree needs depth >= 1, got {k}")
-    if k > LEAF_CAP.bit_length() - 1:
-        raise ValueError(f"depth {k} exceeds the {LEAF_CAP}-leaf cap")
     text = "."
-    for _ in range(k):
+    for _ in range(integral(k, "depth", 1, LEAF_CAP.bit_length() - 1)):
         text = "(" + text + text + ")"
     return Tree(text)
 
@@ -208,10 +204,7 @@ def build_tt(n: int) -> Tree:
     carries all remaining leaves, so descendant sets are exactly the
     prefixes {1..l} of the leaf order.
     """
-    if n < 2:
-        raise ValueError(f"train track tree needs >= 2 leaves, got {n}")
-    if n > LEAF_CAP:
-        raise ValueError(f"{n} exceeds the {LEAF_CAP}-leaf cap")
+    n = integral(n, "leaf count", 2, LEAF_CAP)
     return Tree("(" * (n - 1) + "." + ".)" * (n - 1))
 
 
@@ -241,9 +234,7 @@ def enumerate_shapes(n: int) -> list[Tree]:
     Output is sorted lexicographically on the canonical serialization;
     its length is the Wedderburn-Etherington number of n.
     """
-    if not 2 <= n <= SHAPE_ENUM_CAP:
-        raise ValueError(f"shape enumeration supports 2..{SHAPE_ENUM_CAP} leaves, got {n}")
-    return [Tree(s) for s in _shape_strings(n)]
+    return [Tree(s) for s in _shape_strings(integral(n, "leaf count", 2, SHAPE_ENUM_CAP))]
 
 
 @lru_cache(maxsize=None)
@@ -260,9 +251,7 @@ def _plane_strings(n: int) -> tuple[str, ...]:
 
 def enumerate_plane_trees(n: int) -> list[Tree]:
     """All plane trees on n leaves (Catalan many), lexicographic order."""
-    if not 2 <= n <= PLANE_ENUM_CAP:
-        raise ValueError(f"plane enumeration supports 2..{PLANE_ENUM_CAP} leaves, got {n}")
-    return [Tree(s) for s in _plane_strings(n)]
+    return [Tree(s) for s in _plane_strings(integral(n, "leaf count", 2, PLANE_ENUM_CAP))]
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +299,43 @@ def maximal_desc_vertices(t: Tree, mask: int) -> list[int]:
     return [v for v, p in enumerate(t.parent) if inside[v] and not inside[p]]
 
 
-def weight_vector(t: Tree, f, what: str = "vertex-weight") -> tuple[int, ...]:
-    """Positive per-vertex weights, indexed by vertex id.
+def weight_vector(f, size: int, what: str = "vertex-weight") -> tuple[int, ...]:
+    """`size` positive integers: weights by vertex id, or dimensions by leaf.
 
-    f is a scalar for every vertex or a sequence by vertex id; a mapping
-    is an error.  Entries are real numbers of integral value (2, 2.0 and
-    numpy integers alike); any other entry is an error.  `what` names the
-    vector in the error message.
+    f is a scalar for every entry or a sequence of `size` entries; a
+    mapping is an error.  Each entry is read by `integral`, >= 1, and
+    `what` names the vector in the error message.
     """
     if isinstance(f, Mapping):
         f = ()                  # refused below, not read by its keys
-    vec = (f,) * t.size if isinstance(f, numbers.Real) else tuple(f)
-    if len(vec) != t.size or not all(isinstance(x, numbers.Real) and x >= 1 and x % 1 == 0
-                                     for x in vec):
-        raise ValueError(f"need {t.size} positive {what} entries")
-    return tuple(int(x) for x in vec)
+    vec = (f,) * size if isinstance(f, numbers.Real) else tuple(f)
+    if len(vec) != size:
+        raise ValueError(f"need {size} positive {what} entries")
+    return tuple(integral(x, what, 1) for x in vec)
 
 
-def integral(x, what: str) -> int:
-    """x as an int if it is an integral real, by weight_vector's rule; else a ValueError."""
-    if not (isinstance(x, numbers.Real) and x % 1 == 0):
-        raise ValueError(f"{what} must be an integer")
-    return int(x)
+def integral(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """x as an int if it is a real of integral value (2, 2.0 and numpy
+    integers alike) in lo..hi, or >= lo when hi is None; else a ValueError
+    that names `what`.  Every count, seed and mask the library reads goes
+    through here."""
+    if type(x) is not int:      # an ABC check costs ~0.5 us; masks on hot paths are ints
+        if not (isinstance(x, numbers.Real) and x % 1 == 0):
+            raise ValueError(f"{what} must be an integer")
+        x = int(x)
+    if hi is not None and not lo <= x <= hi:
+        raise ValueError(f"{what} must be in {lo}..{hi}, got {x}")
+    if lo is not None and x < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {x}")
+    return x
+
+
+def _int_text(text: str, what: str) -> int:
+    """int(text), or a ValueError that names `what` and the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text[:20]!r} must be an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +347,9 @@ class Permutation:
     __slots__ = ("perm",)
 
     def __init__(self, seq):
-        seq = tuple(seq)        # integral numbers, or the digit strings of from_text
-        if not all(isinstance(x, str) or isinstance(x, numbers.Real) and x % 1 == 0 for x in seq):
-            raise ValueError("permutation entries must be integers")
-        perm = tuple(int(x) for x in seq)
+        # integral numbers, or the digit strings of from_text
+        perm = tuple(_int_text(x, "permutation entry") if isinstance(x, str)
+                     else integral(x, "permutation entry") for x in seq)
         missing = set(range(1, len(perm) + 1)).difference(perm)
         if missing:             # name one value: the input may be huge
             raise ValueError(f"not a permutation of 1..{len(perm)}: {min(missing)} is missing")
@@ -421,15 +424,12 @@ def instance_perm(t: Tree, t_prime: Tree, perm=None) -> Permutation:
 def mask_from_leaves(leaves) -> int:
     out = 0
     for leaf in leaves:
-        if not 1 <= leaf <= LEAF_CAP:
-            raise ValueError(f"leaf {leaf!r} is outside 1..{LEAF_CAP}")
-        out |= 1 << (leaf - 1)
+        out |= 1 << (integral(leaf, "leaf", 1, LEAF_CAP) - 1)
     return out
 
 
 def leaves_of_mask(mask: int) -> tuple[int, ...]:
-    if mask < 0:
-        raise ValueError(f"leaf mask must be nonnegative, got {mask}")
+    mask = integral(mask, "leaf mask", 0)
     out = []
     leaf = 1
     while mask:

@@ -59,7 +59,7 @@ def test_c1_n4_reproduction():
     res = run_search(4)
     elapsed = time.perf_counter() - t0
     trees = [parse_tree(s) for s in res.shapes]
-    cover = {(i, j): res.values("cover", i, j) for i in range(2) for j in range(2)}
+    cover = {(i, j): res.data["cover"][i, j] for i in range(2) for j in range(2)}
     values = np.concatenate(list(cover.values()))
     hist = {int(v): int(c) for v, c in zip(*np.unique(values, return_counts=True))}
     identity = res.perms.index("1234")
@@ -172,8 +172,8 @@ def test_c7_ordering_properties():
     for n in range(4, 8):
         res = run_search(n, kinds=("cover", "poset"))
         for i, j in itertools.product(range(len(res.shapes)), repeat=2):
-            cov = res.values("cover", i, j)
-            pos = res.values("poset", i, j)
+            cov = res.data["cover"][i, j]
+            pos = res.data["poset"][i, j]
             ok = ok and bool((cov <= pos).all()) and int(cov.max()) <= n // 2
     for n in range(2, 8):
         tt = build_tt(n)
@@ -241,7 +241,7 @@ def test_c9_n8_scale_and_determinism(tmp_path):
     elapsed = time.perf_counter() - t0
     identical = path_a.read_bytes() == path_b.read_bytes()
     payload = json.loads(path_a.read_text())
-    worst = max(res_a.values("cover", i, j).max()
+    worst = max(res_a.data["cover"][i, j].max()
                 for i in range(23) for j in range(23))
     ok = (res_a.instance_count == 23 * 23 * 40320 and identical
           and int(worst) <= 4 and elapsed < 600.0)

@@ -337,6 +337,17 @@ def test_error_paths(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("exponent", "tt:4", "tt:4", "--perm", "12a4"), "permutation entry 'a' must be an integer"),
+    (("exponent", "ht:", "tt:4"), "ht: size '' must be an integer"),
+    (("exponent", "ht:2", "tt:x"), "tt: size 'x' must be an integer"),
+    (("verify-ranks", "--tree", "tt:4", "--probe", "tt:4", "--trials", "0"),
+     "trials must be in 1..4096, got 0"),
+])
+def test_bad_count_exit_line_names_the_argument(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_verify_ranks_bad_input_exits_2(capsys):
     for extra in (("--dims", "161", "--r", "20000"), ("--trials", "0"), ("--f-prime", "0"),
                   ("--f-prime", "-1")):

@@ -161,9 +161,9 @@ def test_counter_rejects_masks_outside_the_leaf_set():
     counter = CoverCounter(build_tt(4))
     assert counter.cover(0) == (1, ()) and len(counter.cover(15)[1]) == 1
     for mask in (-1, 16):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=f"mask must be in 0..15, got {mask}"):
             counter.cover(mask)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=f"mask must be in 0..15, got {mask}"):
             CoverCounter(build_tt(4), 2).cover(mask)
 
 
@@ -435,7 +435,7 @@ def test_weight_mapping_names_vertices():
     t = build_ht(2)
     for bad in ({"r": 2, "01": 3}, {"": 2}, dict.fromkeys(range(1, t.size + 1), 2)):
         with pytest.raises(ValueError, match="need 7 positive vertex-weight entries"):
-            weight_vector(t, bad)
+            weight_vector(bad, t.size)
         with pytest.raises(ValueError, match="positive vertex-weight entries"):
             check_trivial_containment(t, bad, t, 1)
 
@@ -448,11 +448,13 @@ def test_weights_read_integral_scalars_and_reject_fractions():
         assert NetworkSpec.create(t, f=f).f == (2,) * t.size
     # a fraction is an error, not a weight truncated to 1
     for bad in (1.5, [1.5] * t.size, {"r": 2.5}, float("inf"), float("nan"), "2"):
-        with pytest.raises(ValueError, match="positive vertex-weight entries"):
+        with pytest.raises(ValueError, match="vertex-weight must be an integer"
+                                             "|need 7 positive vertex-weight entries"):
             CoverCounter(t, bad)
-        with pytest.raises(ValueError, match="positive dimension-vector entries"):
+        with pytest.raises(ValueError, match="dimension-vector must be an integer"
+                                             "|need 7 positive dimension-vector entries"):
             NetworkSpec.create(t, f=bad)
-    with pytest.raises(ValueError, match="positive vertex-weight entries"):
+    with pytest.raises(ValueError, match="vertex-weight must be an integer"):
         check_trivial_containment(t, [1.5] * t.size, t, 1)
 
 

@@ -62,8 +62,8 @@ def test_search_n4_counts_and_values():
     # identity instances are all 1; the full sweep also hits 2
     id_idx = res.perms.index("1234")
     for i, j in itertools.product(range(2), repeat=2):
-        assert res.values("cover", i, j)[id_idx] == 1
-    everything = np.concatenate([res.values("cover", i, j)
+        assert res.data["cover"][i, j][id_idx] == 1
+    everything = np.concatenate([res.data["cover"][i, j]
                                  for i, j in itertools.product(range(2), repeat=2)])
     assert set(np.unique(everything)) == {1, 2}
 
@@ -88,7 +88,7 @@ def test_naive_matches_its_definition_on_every_small_instance():
                 assert cover_exponent(t, t2, perm).naive_max == want, (t, t2, perm)
                 if res is not None:
                     assert res.perms[p] == perm.one_line()
-                    assert res.values("naive", i, j)[p] == want, (t, t2, perm)
+                    assert res.data["naive"][i, j][p] == want, (t, t2, perm)
 
 
 def test_search_matches_direct_evaluation():
@@ -107,10 +107,10 @@ def test_search_matches_direct_evaluation():
             p = int(rng.integers(len(res.perms)))
             perm = Permutation.from_text(res.perms[p], n)
             rep = cover_exponent(shapes[i], shapes[j], perm)
-            assert res.values("cover", i, j)[p] == rep.cover_bound, (n, i, j, res.perms[p])
+            assert res.data["cover"][i, j][p] == rep.cover_bound, (n, i, j, res.perms[p])
             naive = _naive_by_definition(build_cover_table(shapes[i]), shapes[j], perm)
-            assert res.values("naive", i, j)[p] == rep.naive_max == naive, (n, i, j, res.perms[p])
-            assert (res.values("poset", i, j)[p]
+            assert res.data["naive"][i, j][p] == rep.naive_max == naive, (n, i, j, res.perms[p])
+            assert (res.data["poset"][i, j][p]
                     == poset_bound(shapes[i], shapes[j], perm).value), (n, i, j, res.perms[p])
 
 
@@ -193,7 +193,7 @@ def test_aggregate_matches_per_pair_loop():
         mins, maxs, counts = res.aggregate(kind)
         assert mins.shape == maxs.shape == (len(res.shapes),) * 2
         for i, j in itertools.product(range(len(res.shapes)), repeat=2):
-            arr = res.values(kind, i, j)
+            arr = res.data[kind][i, j]
             hist = np.bincount(arr, minlength=counts.shape[2])
             assert (mins[i, j], maxs[i, j]) == (arr.min(), arr.max())
             assert counts[i, j].tolist() == hist.tolist()
@@ -203,7 +203,7 @@ def test_search_self_identity_spot_check():
     res = run_search(6)
     id_idx = res.perms.index("123456")
     for i in range(len(res.shapes)):
-        assert res.values("cover", i, i)[id_idx] == 1
+        assert res.data["cover"][i, i][id_idx] == 1
 
 
 def test_search_n4_min_over_perms_is_all_ones():
@@ -311,7 +311,7 @@ def _json_by_dumps(res):
     for i, j in itertools.product(range(len(res.shapes)), repeat=2):
         entry = {"a": i, "b": j}
         for k in res.kinds:
-            arr = res.values(k, i, j)
+            arr = res.data[k][i, j]
             hist = {str(v): int(c) for v, c in enumerate(np.bincount(arr)) if c}
             entry[k] = {"min": int(arr.min()), "max": int(arr.max()), "histogram": hist}
         payload["pairs"].append(entry)

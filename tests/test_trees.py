@@ -80,7 +80,7 @@ def test_parse_stops_at_leaf_cap():
         parse_tree("(" * 100000 + ".")
     assert "\n" not in str(exc.value) and "32 leaves" in str(exc.value)
     for k in (6, 10 ** 10):
-        with pytest.raises(ValueError, match=f"depth {k} exceeds the 32-leaf cap"):
+        with pytest.raises(ValueError, match=f"depth must be in 1..5, got {k}"):
             build_ht(k)
 
 
@@ -356,7 +356,7 @@ def test_permutation_entries_must_be_integral():
         assert Permutation(seq) == want
     # a fraction is an error, not an entry truncated to the identity
     for bad in ([1.5, 2, 3, 4], [1, 2, 3.25], [1, float("inf")], [float("nan"), 1]):
-        with pytest.raises(ValueError, match="entries must be integers"):
+        with pytest.raises(ValueError, match="permutation entry must be an integer"):
             Permutation(bad)
 
 
@@ -380,14 +380,14 @@ def test_mask_helpers():
     assert mask_from_leaves([1, 3]) == 0b101
     assert leaves_of_mask(0b101) == (1, 3)
     assert leaves_of_mask(0) == ()
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="leaf mask must be >= 0, got -2"):
         leaves_of_mask(-2)
 
 
 def test_mask_from_leaves_rejects_leaves_outside_the_cap():
     assert mask_from_leaves([1, 32]) == 1 | 1 << 31
     for leaf in (0, -1, 33, 40):
-        with pytest.raises(ValueError, match=f"leaf {leaf} is outside 1..32"):
+        with pytest.raises(ValueError, match=f"leaf must be in 1..32, got {leaf}"):
             mask_from_leaves([2, leaf])
 
 
