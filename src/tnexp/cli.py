@@ -256,9 +256,15 @@ def _cmd_check_reference(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):    # its subparsers are _Parsers too
+    def error(self, message):    # to main's exit 2: one ASCII line, no usage block
+        text = " ".join(message.encode("ascii", "backslashreplace").decode().split())
+        raise ValueError(text if len(text) <= 150 else text[:147] + "...")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tnexp",
         description="Containment exponents of tree tensor-network varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -336,9 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -347,7 +352,7 @@ def main(argv=None) -> int:
         # flush at exit stays quiet, and exit as if killed by SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ranks.RankMismatchError as exc:

@@ -27,13 +27,13 @@ Minimize / Subject To / Binary / End sections; c stays continuous since
 it is integral at any optimum over binary x, y, z.
 
 The solver does not touch the subset tables or CoverCounter: per node
-and side it takes the greedy cover over the model's own candidate sets
-(most uncovered leaves first, larger mask on a tie) and combines sides
-by max-of-min, so its optimum is an independent cross-check of the
-cover-table route.  Greedy is exact, by the cover structure of the
-covers module docstring (every optimal cover is A or B).  Let S be the
-target, w = lca(S^c), and D(X) the number of maximal descendant sets
-inside X.
+and side it makes one stable pass over the model's own candidate sets by
+(size, mask) descending, takes each set that fits inside the leaves left
+uncovered, and combines sides by max-of-min, so its optimum is an
+independent cross-check of the cover-table route.  Greedy is exact, by
+the cover structure of the covers module docstring (every optimal cover
+is A or B).  Let S be the target, w = lca(S^c), and D(X) the number of
+maximal descendant sets inside X.
 
 * If w is the root, no anti set fits inside S.  Greedy then takes the
   maximal descendant sets, largest first, which is cover A.
@@ -43,9 +43,10 @@ inside X.
   every a(x) with x a strict ancestor of w.  Greedy takes a(w) before
   any of them, then the maximal descendant sets of S & d(w): cover B,
   with 1 + D(S & d(w)) <= p + D(S & d(w)) = D(S) sets.
-* Every pick is disjoint from the earlier ones, so the cover lists its
-  sets by (size, mask) descending.  The tests keep an exhaustive branch
-  and bound as the oracle for counts and order.
+* The pass takes only sets inside the uncovered leaves, so its picks are
+  disjoint and listed by (size, mask) descending; of equal sets it takes
+  the first registered.  The tests keep an exhaustive branch and bound
+  as the oracle for counts and order.
 """
 
 from __future__ import annotations
@@ -155,16 +156,15 @@ def build_ip(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> IpMo
 # exact solver
 
 def _greedy_cover(cands: tuple, target: int) -> tuple:
-    """Minimum cover of `target` by the candidate sets (all subsets of it),
-    exact by the module docstring; no sets for an empty target."""
-    chosen = []
-    uncovered = target
-    while uncovered:
-        best = max(cands, key=lambda c: ((c[1] & uncovered).bit_count(), c[1]))
-        if not best[1] & uncovered:
-            raise RuntimeError("target side not coverable; singleton sets missing")
-        chosen.append(best[1])
-        uncovered &= ~best[1]
+    """The (name, mask) candidates, all subsets of `target`, that cover it
+    minimally by the module docstring's pass; none for an empty target."""
+    chosen, uncovered = [], target
+    for c in sorted(cands, key=lambda c: (c[1].bit_count(), c[1]), reverse=True):
+        if not c[1] & ~uncovered:
+            chosen.append(c)
+            uncovered ^= c[1]
+    if uncovered:
+        raise RuntimeError("target side not coverable; singleton sets missing")
     return tuple(chosen)
 
 
@@ -181,17 +181,11 @@ def solve_ip(model: IpModel) -> IpSolution:
     for wl, sides in model.node_sides.items():
         covers = {side: _greedy_cover(cands, target) for side, (target, cands) in sides.items()}
         side = "anti" if len(covers["anti"]) < len(covers["desc"]) else "desc"
-        masks = covers[side]
-        count = len(masks)
-        objective = max(objective, count)
-        per_node[wl] = {"side": side, "count": count, "cover": masks}
-
+        chosen = covers[side]
+        objective = max(objective, len(chosen))
+        per_node[wl] = {"side": side, "count": len(chosen), "cover": tuple(m for _, m in chosen)}
         assignment[f"z{_TAGS[side]}_{wl}"] = 1
-        by_mask: dict[int, str] = {}
-        for name, m in sides[side][1]:
-            by_mask.setdefault(m, name)    # first registered = x before y, low v first
-        for m in masks:
-            assignment[by_mask[m]] = 1
+        assignment.update((name, 1) for name, _ in chosen)
     assignment["c"] = objective
     return IpSolution(objective=objective, assignment=assignment, per_node=per_node)
 

@@ -460,8 +460,8 @@ def empirical_exponent(spec: NetworkSpec, probe: Tree,
         "probe": probe.text,
         "perm": profile.perm,
         "r": spec.r,
-        "trials": trials,
-        "seed": seed,
+        "trials": len(seeds),
+        "seed": int(seed),     # trial_seeds has read it as an integer
         "trial_seeds": seeds,
         "max_exponent": max(per_node.values(), default=0),
         "per_node_exponent": dict(sorted(per_node.items())),

@@ -167,7 +167,7 @@ def min_cover_bnb(cands: tuple, target: int):
     if not target:
         return 0, ()
     masks = sorted({m for _, m in cands})
-    best_sol = _greedy_cover(cands, target)
+    best_sol = tuple(m for _, m in _greedy_cover(cands, target))
     best = len(best_sol)
     max_size = max(m.bit_count() for m in masks)
     by_bit: dict[int, list] = {}

@@ -222,6 +222,38 @@ def test_verify_ranks_seed_reproducible(capsys, tmp_path):
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
 
 
+def test_verify_ranks_checks_a_given_exponent(capsys):
+    # tt:8 in tt:8 under 1-5-2-3-6-7-4-8: cover bound 4, while the sampled
+    # ranks refute exponent 2 and fit under exponent 3
+    tree = ("tt:8", "tt:8", "--perm", "1-5-2-3-6-7-4-8")
+    assert run_json(capsys, "exponent", *tree)["cover_bound"] == 4
+    argv = ("verify-ranks", "--tree", "tt:8", "--probe", "tt:8", "--perm", "1-5-2-3-6-7-4-8",
+            "--r", "2", "--dims", "4", "--trials", "2", "--seed", "1")
+    for exponent, want in (2, 1), (3, 0):
+        code, out, err = run_cli(capsys, *argv, "--exponent", str(exponent))
+        assert code == want and not err, err
+        payload = json.loads(out)
+        assert payload["exponent"] == exponent and payload["ok"] is (want == 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "x"),
+    ("verify-ranks", "--tree", "tt:4", "--probe", "tt:4", "--r", "2.5"),
+    ("exponent",),
+    ("exponent", "tt:4"),
+    ("bogus",),
+    (),
+    ("search", "--n", "4", *(f"--x{i}" for i in range(3000))),
+    ("search", "--n", "4", "--\u00e9\nx"),
+], ids=["int-flag", "float-r", "no-trees", "one-tree", "unknown-command", "no-command",
+        "3000-unknown-flags", "non-ascii-flag"])
+def test_bad_argv_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err.encode()) < 200, err[:300]
+
+
 def test_check_reference(capsys, tmp_path):
     ours = tmp_path / "ours.csv"
     run_json(capsys, "search", "--n", "4", "--csv", str(ours))

@@ -245,6 +245,16 @@ def test_empirical_reports_seeds():
     assert len(a["trial_seeds"]) == 3
 
 
+@pytest.mark.parametrize("trials,seed", [(2.0, 1.0), (np.int64(2), np.int64(1))],
+                         ids=["float", "numpy"])
+def test_empirical_reports_the_integers_it_read(trials, seed):
+    # the JSON text tells 2.0 from 2, which == does not
+    spec = NetworkSpec.create(build_tt(4), r=2)
+    want = empirical_exponent(spec, build_ht(2), trials=2, seed=1)
+    got = empirical_exponent(spec, build_ht(2), trials=trials, seed=seed)
+    assert json.dumps(got) == json.dumps(want)
+
+
 def test_empirical_answers_are_pinned():
     # sha256 over 40 seeded reports: n = 4..8, plane trees, perms (every
     # fourth the default identity), dims and r in {2, 3}, f' entries in {1, 2}

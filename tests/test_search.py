@@ -232,6 +232,15 @@ def test_sample_perms_must_be_integral():
             run_search(5, sample_perms=bad)
 
 
+@pytest.mark.parametrize("n,count", [(5, 120), (5, 10 ** 6), (6, 720), (6, 10 ** 6)])
+def test_sample_perms_of_n_factorial_or_more_is_the_full_search(n, count):
+    full = run_search(n, kinds=("cover", "naive"))
+    res = run_search(n, kinds=("cover", "naive"), sample_perms=count, seed=1)
+    assert res.sampled and not full.sampled
+    assert np.array_equal(res.perm_array, full.perm_array)
+    assert [res.digest(k) for k in res.kinds] == [full.digest(k) for k in full.kinds]
+
+
 @pytest.mark.parametrize("n,count", [(5, 100), (8, 40319)])
 def test_sample_perms_above_half_leaves_out_the_rest(n, count):
     rows = [tuple(r) for r in _sample_perms(n, count, seed=0).tolist()]
