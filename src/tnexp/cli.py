@@ -87,7 +87,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_exponent(args) -> int:
     t, t2 = _tree_arg(args.tree_a), _tree_arg(args.tree_b)
     perm = Permutation.from_text(args.perm, t.n)
-    report = covers.cover_exponent(t, t2, perm, with_witnesses=args.witnesses)
+    report = covers.cover_exponent(t, t2, perm)
     # poset_bound's value is cover_bound: read it rather than walk T' again
     extra = {"trivial": bounds_mod.trivial_bound(t.n).value, "poset": report.cover_bound}
     if perm.is_identity():
@@ -98,6 +98,8 @@ def _cmd_exponent(args) -> int:
         extra["ilp"] = ilp.solve_ip(ilp.build_ip(t, t2, perm)).objective
     payload = report.to_dict()
     payload["extra_bounds"] = extra
+    if not args.witnesses:
+        del payload["witnesses"]
 
     def lines(p):
         out = [f"T  : {p['tree']}", f"T' : {p['tree_prime']}", f"pi : {p['perm']}",
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
         # flush at exit stays quiet, and exit as if killed by SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ranks.RankMismatchError as exc:

@@ -68,6 +68,11 @@ The full set is asked for only at T''s root, where the empty anti side
 (product 1, no sets) always wins; it answers the root's split, its least
 partition into sets d(v) of weight f(v), at f = 1 (root, "desc").
 
+Both reports read one walk over T' (_node_covers), which covers d(w) and
+its complement and chooses the side of least f-product, then fewest sets,
+desc on a tie; the chosen cover is the node's witness.  cover_exponent
+walks T''s internal nodes at f = 1, check_trivial_containment every vertex.
+
 Production evaluates covers only so: CoverCounter per subset, up to
 LEAF_CAP leaves, for cover_exponent (and so bounds.poset_bound) and,
 weighted, check_trivial_containment; build_cover_table all 2^n counts
@@ -226,10 +231,10 @@ class ExponentReport:
     cover_bound: int
     per_node: tuple
     naive_max: int
-    witnesses: Optional[dict] = None
+    witnesses: dict     # T' label -> the chosen side's cover, (T label, kind, set) triples
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "tree": self.tree,
             "tree_prime": self.tree_prime,
             "perm": self.perm,
@@ -246,47 +251,40 @@ class ExponentReport:
                 }
                 for nc in self.per_node
             ],
-        }
-        if self.witnesses is not None:
-            d["witnesses"] = {
+            "witnesses": {
                 lab: [{"vertex": v_lab, "kind": kind, "set": list(leaves_of_mask(m))}
                       for (v_lab, kind, m) in ws]
                 for lab, ws in self.witnesses.items()
-            }
-        return d
+            },
+        }
 
 
-def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None,
-                   with_witnesses: bool = False) -> ExponentReport:
+def _node_covers(t: Tree, f, t_prime: Tree, perm: Permutation, vertices):
+    """Per T' vertex w in `vertices`: w, d(w) pulled back into T, the least
+    covers (f-product, witness) of d(w) and of its complement, and the chosen
+    (cover, side): least f-product, then fewest sets, desc on a tie."""
+    cover, full = CoverCounter(t, f).cover, t.full_mask
+    for w in vertices:
+        d_set = perm.pullback(t_prime.desc_masks[w])
+        desc, anti = cover(d_set), cover(full ^ d_set)
+        yield w, d_set, desc, anti, min((desc, "desc"), (anti, "anti"),
+                                        key=lambda c: (c[0][0], len(c[0][1])))
+
+
+def cover_exponent(t: Tree, t_prime: Tree, perm: Optional[Permutation] = None) -> ExponentReport:
     """Certified containment exponent for T' covered by doad sets of T."""
     perm = instance_perm(t, t_prime, perm)
-    cover = CoverCounter(t).cover
-
-    full = t.full_mask
-    per_node, chosen_covers = [], []
-    bound = 1
-    for w in t_prime.internal:
-        d_set = perm.pullback(t_prime.desc_masks[w])
-        a_set = full ^ d_set
-        d_cover, a_cover = cover(d_set)[1], cover(a_set)[1]
-        nd, na = len(d_cover), len(a_cover)
-        chosen = "anti" if na < nd else "desc"
-        per_node.append(NodeCover(t_prime.node_label(w), d_set, a_set, nd, na, chosen))
-        chosen_covers.append(a_cover if na < nd else d_cover)
-        bound = max(bound, min(nd, na))
-
-    # a 1-leaf T' has no internal node; its one doad set needs one set
-    naive = max((max(nc.n_desc, nc.n_anti) for nc in per_node), default=1)
-
-    witnesses = None
-    if with_witnesses:
-        witnesses = {nc.label: tuple((t.node_label(vid), kind, m) for vid, kind, m in cover)
-                     for nc, cover in zip(per_node, chosen_covers)}
-
+    per_node, witnesses = [], {}
+    bound = naive = 1   # a 1-leaf T' has no internal node; its one doad set needs one set
+    for w, d_set, (_, dw), (_, aw), ((_, wit), side) in _node_covers(
+            t, 1, t_prime, perm, t_prime.internal):
+        lab, nd, na = t_prime.node_label(w), len(dw), len(aw)
+        per_node.append(NodeCover(lab, d_set, t.full_mask ^ d_set, nd, na, side))
+        witnesses[lab] = tuple((t.node_label(v), kind, m) for v, kind, m in wit)
+        bound, naive = max(bound, min(nd, na)), max(naive, nd, na)
     return ExponentReport(
         tree=t.text, tree_prime=t_prime.text, perm=perm.one_line(),
-        cover_bound=bound, per_node=tuple(per_node), naive_max=naive,
-        witnesses=witnesses)
+        cover_bound=bound, per_node=tuple(per_node), naive_max=naive, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +327,12 @@ def check_trivial_containment(t: Tree, f, t_prime: Tree, f_prime,
     """
     perm = instance_perm(t, t_prime, perm)
     fp = weight_vector(f_prime, t_prime.size)
-    cover = CoverCounter(t, f).cover
-    full = t.full_mask
-
-    per_node = []
-    violations = []
-    sets_used = 0
-    for v in range(t_prime.size):
-        d_set = perm.pullback(t_prime.desc_masks[v])
-        a_set = full ^ d_set
-        pd, wd = cover(d_set)
-        pa, wa = cover(a_set)
-        product, side, wit = min((pd, "desc", wd), (pa, "anti", wa),
-                                 key=lambda x: (x[0], len(x[2]), x[1] != "desc"))
-        lab = t_prime.node_label(v)
-        per_node.append((lab, side, product, fp[v], wit))
-        sets_used = max(sets_used, len(wit))
-        if product > fp[v]:
+    per_node, violations = [], []
+    for w, _, _, _, ((product, wit), side) in _node_covers(
+            t, f, t_prime, perm, range(t_prime.size)):
+        lab = t_prime.node_label(w)
+        per_node.append((lab, side, product, fp[w], wit))
+        if product > fp[w]:
             violations.append(lab)
-    return TrivialContainment(ok=not violations, sets_used=sets_used,
+    return TrivialContainment(ok=not violations, sets_used=max(len(wit) for *_, wit in per_node),
                               per_node=tuple(per_node), violations=tuple(violations))

@@ -283,11 +283,9 @@ def _write_csv(result: SearchResult, path) -> None:
         fh.write(",".join(cols) + "\n")
         for i, a in enumerate(result.shapes):
             for j, b in enumerate(result.shapes):
-                arrays = [result.data[k][i, j] for k in result.kinds]
                 prefix = f"{n_str},{a},{b},"
-                fh.write("".join(
-                    f"{prefix}{perm},{','.join(str(int(arr[p])) for arr in arrays)}\n"
-                    for p, perm in enumerate(result.perms)))
+                rows = zip(result.perms, *(result.data[k][i, j].tolist() for k in result.kinds))
+                fh.write("".join(prefix + ",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _write_json(result: SearchResult, path) -> None:

@@ -436,6 +436,16 @@ def test_oversized_input_exits_2_in_bounded_memory(argv):
     assert len(proc.stderr.encode()) < 200, proc.stderr[:300]
 
 
+def test_allocation_failure_exits_2_with_one_error_line(monkeypatch):
+    # the largest basis, 64 x 2^19 entries (256 MiB), fits BASIS_CAP, but sampling
+    # peaks at about 2.5 times that, past the 768 MiB cap
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    proc = run_capped("verify-ranks", "--tree", "tt:20", "--probe", "tt:20", "--dims", "2",
+                      "--r", "64", "--trials", "1", "--seed", "1", limit=3 << 28)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr[-500:]
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 # Reads a JSON list of argv lists on stdin, caps its own address space,
 # runs each through cli.main in process and prints [code, stdout length,
 # stderr] per input; an exception main lets through is reported as its name.

@@ -170,7 +170,7 @@ def test_counter_rejects_masks_outside_the_leaf_set():
 def test_exponent_past_table_cap_matches_ip():
     ht5, tt32 = build_ht(5), build_tt(32)
     for t, t2, want in ((ht5, tt32, 3), (tt32, ht5, 2)):
-        rep = cover_exponent(t, t2, with_witnesses=True)
+        rep = cover_exponent(t, t2)
         assert rep.cover_bound == want
         assert solve_ip(build_ip(t, t2)).objective == want
         for nc in rep.per_node:
@@ -211,7 +211,7 @@ def test_not_sharp_pair_is_one():
 
 def test_report_consistency():
     t, t2 = build_ht(3), build_tt(8)
-    rep = cover_exponent(t, t2, with_witnesses=True)
+    rep = cover_exponent(t, t2)
     assert rep.cover_bound == 2
     assert rep.cover_bound == max(1, max(nc.value for nc in rep.per_node))
     assert rep.naive_max >= rep.cover_bound
@@ -474,7 +474,7 @@ def test_answers_are_pinned():
         f = [rng.choice((1, 1, 2, 3, 5)) for _ in range(t.size)]
         f2 = [rng.choice((1, 1, 2, 3, 5)) for _ in range(t2.size)]
         for rep in (check_trivial_containment(t, f, t2, f2, perm),
-                    cover_exponent(t, t2, perm, with_witnesses=True)):
+                    cover_exponent(t, t2, perm)):
             digest.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == ANSWERS_SHA256
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import all_perms, doad_sets, min_cover_bnb, random_tree
 from tnexp.covers import cover_exponent
-from tnexp.ilp import build_ip, export_lp, solve_ip
+from tnexp.ilp import _greedy_cover, build_ip, export_lp, solve_ip
 from tnexp.trees import (
     Permutation,
     build_ht,
@@ -148,6 +148,11 @@ def test_side_covers_match_branch_and_bound_random_masks():
         for _ in range(4):
             t = random_tree(rng, n)
             _check_against_bnb(t, [rng.getrandbits(n) for _ in range(25)])
+
+
+def test_greedy_raises_on_leaves_no_candidate_covers():
+    with pytest.raises(RuntimeError, match="not coverable"):
+        _greedy_cover((("x", 0b011),), 0b111)
 
 
 def test_solution_sides_match_branch_and_bound():

@@ -106,6 +106,18 @@ def test_sampling_is_deterministic():
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
+def test_full_rank_draw_is_retried_once(monkeypatch):
+    # a deficient draw (probability < 2**-60) is drawn again, once
+    rng = np.random.default_rng(0)
+    drawn = iter([1, 2])   # the ranks mat_rank reports, draw by draw
+    monkeypatch.setattr(ranks, "mat_rank", lambda a: next(drawn))
+    mat, resamples = ranks._random_full_rank(rng, 2, 3)
+    assert resamples == 1 and mat.shape == (2, 3) and next(drawn, None) is None
+    monkeypatch.setattr(ranks, "mat_rank", lambda a: a.shape[0] - 1)
+    with pytest.raises(RuntimeError, match="two rank-deficient draws for a 2x3 matrix"):
+        ranks._random_full_rank(rng, 2, 3)
+
+
 def test_transpose_rank_identity():
     spec = NetworkSpec.create(parse_tree("(.((..)(..)))"), leaf_dims=2, f=1, r=2)
     t = sample_tensor(spec, 9)

@@ -258,6 +258,16 @@ def test_search_input_validation():
         run_search(4, kinds=("cover", "bogus"))
 
 
+@pytest.mark.parametrize("n,kw,message", [
+    (13, {"sample_perms": 5}, "sampled search supports 4..12 leaves"),
+    (5, {"kinds": ()}, "need at least one bound kind"),
+    (12, {"sample_perms": 10 ** 6}, f"exceed the {search.INSTANCE_CAP} instances"),
+], ids=["sampled-n13", "no-kinds", "instance-cap"])
+def test_search_rejects_before_it_allocates(n, kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_search(n, **kw)
+
+
 # ---------------------------------------------------------------------------
 # serialization and reference comparison
 
